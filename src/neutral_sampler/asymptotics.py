@@ -18,7 +18,7 @@ from .basis import basis_element, inner_product
 from .combinatorics import EMPTY, IntegerPartition
 from .moments import check_theta, power_sum_moment
 from .sampling import FrequencyVector, power_sum_product
-from .transient import DEFAULT_PRECISION_BITS, SpectralEvaluator, _to_mpf
+from .transient import DEFAULT_PRECISION_BITS, _to_mpf, get_evaluator
 
 #: k value meaning "theta t / log theta -> infinity" (still log-theta speed).
 K_INFINITE = math.inf
@@ -145,9 +145,8 @@ def moment_limit_scan(
     rows = []
     for theta in theta_grid:
         theta = check_theta(theta)
-        ev = SpectralEvaluator(theta, max(2, omega.n), precision_bits)
         t = regime.time_at(theta, precision_bits)
-        computed = ev.moment(omega, x, t)
+        computed = get_evaluator(theta, precision_bits).moment(omega, x, t)
         with mpmath.workprec(precision_bits):
             err = abs(_to_mpf(computed) - _to_mpf(predicted))
         rows.append(MomentScanRow(theta, computed, predicted, err))
@@ -286,9 +285,8 @@ def ldp_slope_scan(
     rows = []
     for theta in theta_grid:
         theta = check_theta(theta)
-        ev = SpectralEvaluator(theta, max(2, n), precision_bits)
         t = regime.time_at(theta, precision_bits)
-        p = ev.sampling_probability(eta, x, t)
+        p = get_evaluator(theta, precision_bits).sampling_probability(eta, x, t)
         with mpmath.workprec(precision_bits):
             if p <= 0:
                 rows.append(SlopeScanRow(theta, p, None, None, True))

@@ -65,12 +65,16 @@ class BasisElement:
 
 @lru_cache(maxsize=None)
 def build_basis(max_size: int, theta) -> tuple[BasisElement, ...]:
-    """Orthogonalize {1, phi_eta : 2 <= |eta| <= max_size} in canonical order."""
+    """Orthogonalize {1, phi_eta : 2 <= |eta| <= max_size} in canonical order.
+
+    The canonical order makes build_basis(max_size - 1, theta) a prefix, so
+    only the labels of size max_size are orthogonalized here.
+    """
     if max_size < 2:
         raise ValueError("max_size must be >= 2, got %r" % (max_size,))
     theta = check_theta(theta)
-    elements: list[BasisElement] = []
-    for label in monomial_labels(max_size):
+    elements = list(build_basis(max_size - 1, theta)) if max_size > 2 else []
+    for label in monomial_labels(max_size)[len(elements):]:
         coeffs: CoeffMap = {label: Fraction(1)}
         for prev in elements:
             c = inner_product({label: Fraction(1)}, prev.coeffs, theta) / prev.norm2

@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -21,17 +20,18 @@ from .basis import build_basis
 from .combinatorics import IntegerPartition
 from .config import load_config
 from .sampling import CapExceededError, FrequencyVector, sampling_probability
-from .transient import SpectralEvaluator, STATIONARY
+from .transient import get_evaluator
 from .verify import run_suite
 
 EXIT_CAP = 3
 
 
 def parse_rational(text: str) -> Fraction:
+    """A finite rational such as 1/3, 0.25 or 1e6; inf and nan are rejected."""
     try:
         return Fraction(text)
-    except ValueError:
-        return Fraction(Decimal(text))  # allows 1e6-style input
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def parse_theta_grid(text: str) -> list[Fraction]:
@@ -41,6 +41,8 @@ def parse_theta_grid(text: str) -> list[Fraction]:
         if kind != "log":
             raise ValueError("only log-spaced grids are supported, got %r" % kind)
         lo, hi = parse_rational(lo), parse_rational(hi)
+        if lo <= 0 or hi <= 0:
+            raise ValueError("log grid bounds must be positive, got %r" % text)
         grid = []
         v = lo
         while v <= hi:
@@ -119,12 +121,11 @@ def cmd_transient(args, cfg):
     eta = IntegerPartition.parse(args.eta)
     x = FrequencyVector.parse(args.x)
     theta = parse_rational(args.theta)
-    prec = args.precision or cfg.precision_bits
+    prec = cfg.precision_bits
     if eta.n > cfg.max_n:
         raise CapExceededError("|eta| = %d exceeds max_n = %d" % (eta.n, cfg.max_n))
-    ev = SpectralEvaluator(theta, max(2, eta.n), prec)
-    t = STATIONARY if args.t == "inf" else mpmath.mpf(args.t)
-    value = ev.sampling_probability(eta, x, t)
+    ev = get_evaluator(theta, prec)
+    value = ev.sampling_probability(eta, x, mpmath.mpf(args.t))
     emit({
         "eta": eta.to_json(),
         "theta": str(theta),
@@ -140,7 +141,7 @@ def cmd_weak_limit_scan(args, cfg):
     omega = IntegerPartition.parse(args.omega)
     x = FrequencyVector.parse(args.x)
     regime = parse_regime(args.regime)
-    prec = args.precision or cfg.precision_bits
+    prec = cfg.precision_bits
     rows = asymptotics.moment_limit_scan(
         omega, x, regime, parse_theta_grid(args.theta_grid), prec)
     table = [[str(r.theta), fmt_float(r.computed, prec),
@@ -209,7 +210,6 @@ def cmd_verify(args, cfg):
         if not ok:
             failures += 1
             print("FAIL %s: %s" % (label, detail))
-            break
     if failures:
         return 1
     print("ok: suite %r passed" % args.suite)
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-prob", help="exact stationary-free p_eta(x)")
     p.add_argument("--eta", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--dust", choices=("auto",), default="auto")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample_prob)
 
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--t", required=True, help='time, or "inf" for stationary')
-    p.add_argument("--precision", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_transient)
 
@@ -260,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--regime", required=True)
     p.add_argument("--theta-grid", required=True)
-    p.add_argument("--precision", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_weak_limit_scan)
 
@@ -284,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--theta-grid", required=True)
     p.add_argument("--x", default="1/2,1/3,1/6")
-    p.add_argument("--precision", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ldp_scan)
 

@@ -83,9 +83,6 @@ class IntegerPartition:
     def concat(self, other: "IntegerPartition") -> "IntegerPartition":
         return IntegerPartition.of(*(self.parts + other.parts))
 
-    def drop_ones(self) -> "IntegerPartition":
-        return IntegerPartition(tuple(p for p in self.parts if p > 1))
-
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 

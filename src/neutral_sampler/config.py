@@ -1,32 +1,31 @@
-"""Run configuration: precision, caps, output format and seed."""
+"""Run configuration: precision, size cap and output format."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .sampling import DEFAULT_MAX_N
+from .transient import DEFAULT_PRECISION_BITS, check_precision
 
 PRECISION_ENV_VAR = "NEUTRAL_SAMPLER_PRECISION"
 
 
 @dataclass
 class RunConfig:
-    precision_bits: int = 256
-    max_n: int = 8
-    max_atoms: int = 10
+    precision_bits: int = DEFAULT_PRECISION_BITS
+    max_n: int = DEFAULT_MAX_N
     output_format: str = "json"
-    seed: int = 20260824
 
     def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64, got %d"
-                             % self.precision_bits)
-        if self.max_n < 1 or self.max_atoms < 1:
-            raise ValueError("caps must be positive")
+        check_precision(self.precision_bits)
+        if self.max_n < 1:
+            raise ValueError("max_n must be positive")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be json or csv")
 
 
-_INT_KEYS = ("precision_bits", "max_n", "max_atoms", "seed")
+_INT_KEYS = ("precision_bits", "max_n")
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:

@@ -13,11 +13,6 @@ from math import factorial
 from .combinatorics import EMPTY, IntegerPartition, all_set_partitions
 
 
-def as_rational(value) -> Fraction:
-    theta = Fraction(value)
-    return theta
-
-
 def check_theta(theta: Fraction) -> Fraction:
     theta = Fraction(theta)
     if theta <= 0:

@@ -10,7 +10,7 @@ drops all exponential terms and returns the exact stationary value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,8 +27,20 @@ DEFAULT_PRECISION_BITS = 256
 STATIONARY = math.inf
 
 
-class BasisNotBuiltError(RuntimeError):
-    """A moment was requested beyond the size the evaluator was built for."""
+def check_time(t):
+    """STATIONARY for t = +inf, otherwise t itself, which must be >= 0;
+    negative t, -inf and NaN raise ValueError."""
+    if t == STATIONARY:
+        return STATIONARY
+    if not t >= 0:  # also catches NaN
+        raise ValueError("t must be >= 0 or inf, got %r" % (t,))
+    return t
+
+
+def check_precision(bits: int) -> int:
+    if bits < 64:
+        raise ValueError("precision_bits must be >= 64, got %d" % bits)
+    return bits
 
 
 def eigenvalue(m: int, theta) -> Fraction:
@@ -49,14 +61,12 @@ class TimePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", check_theta(self.theta))
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
-        if not self.is_stationary and mpmath.mpf(self.t) < 0:
-            raise ValueError("t must be >= 0, got %r" % (self.t,))
+        check_precision(self.precision_bits)
+        object.__setattr__(self, "t", check_time(self.t))
 
     @property
     def is_stationary(self) -> bool:
-        return isinstance(self.t, float) and math.isinf(self.t)
+        return self.t is STATIONARY
 
 
 def _to_mpf(q) -> mpmath.mpf:
@@ -66,24 +76,15 @@ def _to_mpf(q) -> mpmath.mpf:
 
 
 class SpectralEvaluator:
-    """Moments E_x phi_omega(X_t) and transient sampling probabilities,
-    sharing one exact basis per (theta, max_size)."""
+    """Moments E_x phi_omega(X_t) and transient sampling probabilities at
+    one theta, for every sample size and every t >= 0."""
 
-    def __init__(self, theta, max_size: int,
-                 precision_bits: int = DEFAULT_PRECISION_BITS):
+    def __init__(self, theta, precision_bits: int = DEFAULT_PRECISION_BITS):
         self.theta = check_theta(theta)
-        self.max_size = max_size
-        self.precision_bits = precision_bits
-        self.basis = build_basis(max(2, max_size), self.theta)
+        self.precision_bits = check_precision(precision_bits)
         self._eigencoeff_cache: dict = {}
 
     # -- exact layer ---------------------------------------------------
-
-    def _check_size(self, size: int):
-        if size > self.max_size:
-            raise BasisNotBuiltError(
-                "basis built to size %d, needed %d" % (self.max_size, size)
-            )
 
     def eigen_coefficients(
         self, f: tuple[tuple[IntegerPartition, Fraction], ...], x: FrequencyVector
@@ -92,8 +93,9 @@ class SpectralEvaluator:
         with C_0 the stationary part, such that
         E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}."""
         fmap = {k: v for k, v in f}
+        size = max(label.n for label in fmap)
         out: dict[int, Fraction] = {}
-        for psi in self.basis:
+        for psi in build_basis(max(2, size), self.theta):
             c = inner_product(fmap, psi.coeffs, self.theta) / psi.norm2
             if c == 0:
                 continue
@@ -105,7 +107,6 @@ class SpectralEvaluator:
     def _moment_eigencoeffs(self, omega: IntegerPartition, x: FrequencyVector):
         key = ("phi", omega, x)
         if key not in self._eigencoeff_cache:
-            self._check_size(omega.n)
             if omega != EMPTY and omega.min_part < 2:
                 raise ValueError("moment needs parts >= 2, got %s" % (omega,))
             self._eigencoeff_cache[key] = self.eigen_coefficients(
@@ -116,7 +117,6 @@ class SpectralEvaluator:
     def _sampler_eigencoeffs(self, eta: IntegerPartition, x: FrequencyVector):
         key = ("p", eta, x)
         if key not in self._eigencoeff_cache:
-            self._check_size(eta.n)
             expansion = expansion_of_monomial_sampler(eta)
             coeffs = self.eigen_coefficients(expansion, x)
             const = multinomial_constant(eta)
@@ -142,42 +142,34 @@ class SpectralEvaluator:
 
     def moment(self, omega: IntegerPartition, x: FrequencyVector, t):
         """E_x phi_omega(X_t); exact Fraction for the stationary sentinel."""
-        if isinstance(t, float) and math.isinf(t):
-            return self.stationary_moment(omega)
+        if check_time(t) is STATIONARY:
+            return power_sum_moment(omega, self.theta)
         return self._combine(self._moment_eigencoeffs(omega, x), t)
 
-    def stationary_moment(self, omega: IntegerPartition) -> Fraction:
-        self._check_size(omega.n)
-        return power_sum_moment(omega, self.theta)
-
     def moment_exact_t0(self, omega: IntegerPartition, x: FrequencyVector) -> Fraction:
-        self._check_size(omega.n)
         return sum(self._moment_eigencoeffs(omega, x).values(), Fraction(0))
 
     def sampling_probability(self, eta: IntegerPartition, x: FrequencyVector, t):
         """P_n^theta(eta) = E_x p_eta(X_t); exact ESF value at the sentinel."""
-        if isinstance(t, float) and math.isinf(t):
+        if check_time(t) is STATIONARY:
             return self.stationary_sampling_probability(eta)
         return self._combine(self._sampler_eigencoeffs(eta, x), t)
 
     def stationary_sampling_probability(self, eta: IntegerPartition) -> Fraction:
         """The Ewens sampling formula value, exactly."""
-        self._check_size(eta.n)
         return multinomial_constant(eta) * esf_monomial_moment(eta, self.theta)
 
 
 @lru_cache(maxsize=32)
-def get_evaluator(theta, max_size: int,
-                  precision_bits: int = DEFAULT_PRECISION_BITS) -> SpectralEvaluator:
-    return SpectralEvaluator(theta, max_size, precision_bits)
+def get_evaluator(theta, precision_bits: int = DEFAULT_PRECISION_BITS) -> SpectralEvaluator:
+    """The shared evaluator of one (theta, precision_bits)."""
+    return SpectralEvaluator(theta, precision_bits)
 
 
 def transient_moment(omega: IntegerPartition, x: FrequencyVector, tp: TimePoint):
-    ev = get_evaluator(tp.theta, max(2, omega.n), tp.precision_bits)
-    return ev.moment(omega, x, tp.t)
+    return get_evaluator(tp.theta, tp.precision_bits).moment(omega, x, tp.t)
 
 
 def transient_sampling_probability(eta: IntegerPartition, x: FrequencyVector,
                                    tp: TimePoint):
-    ev = get_evaluator(tp.theta, max(2, eta.n), tp.precision_bits)
-    return ev.sampling_probability(eta, x, tp.t)
+    return get_evaluator(tp.theta, tp.precision_bits).sampling_probability(eta, x, tp.t)

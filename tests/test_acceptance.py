@@ -115,7 +115,7 @@ def test_criterion_4_orthogonality():
 def test_criterion_5_transient_endpoints():
     ok = True
     for theta in (Fraction(1), Fraction(10)):
-        ev = SpectralEvaluator(theta, 5, 256)
+        ev = SpectralEvaluator(theta, 256)
         with mpmath.workprec(300):
             tol = mpmath.mpf(2) ** -200
             for n in range(1, 6):

@@ -89,6 +89,25 @@ class TestBuildBasis:
         with pytest.raises(ValueError):
             build_basis(4, 0)
 
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 10])
+    def test_smaller_basis_is_exact_prefix(self, theta):
+        # Independent oracle: one Gram-Schmidt over every label up to size 7.
+        theta = Fraction(theta)
+        oracle = []
+        for label in monomial_labels(7):
+            coeffs = {label: Fraction(1)}
+            for prev in oracle:
+                c = inner_product({label: Fraction(1)}, prev.coeffs, theta) / prev.norm2
+                for k, v in prev.coeffs.items():
+                    coeffs[k] = coeffs.get(k, Fraction(0)) - c * v
+            coeffs = {k: v for k, v in coeffs.items() if v != 0}
+            oracle.append(BasisElement(label, theta, coeffs,
+                                       inner_product(coeffs, coeffs, theta)))
+        for k in range(3, 8):
+            small, large = build_basis(k - 1, theta), build_basis(k, theta)
+            assert large[:len(small)] == small
+            assert list(large) == oracle[:len(large)]
+
     def test_max_size_too_small(self):
         with pytest.raises(ValueError):
             build_basis(1, Fraction(1))

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import neutral_sampler
+from neutral_sampler import cli
 from neutral_sampler.cli import main, parse_rational, parse_regime, parse_theta_grid
 from fractions import Fraction
 
@@ -10,6 +16,20 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, capped at 256 MB of address space and
+    30 s, so that a regression into an endless loop fails instead of hanging."""
+    src = os.path.dirname(os.path.dirname(neutral_sampler.__file__))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "neutral_sampler.cli", *argv],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
+        env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestParsers:
@@ -25,6 +45,11 @@ class TestParsers:
     def test_grid_log(self):
         assert parse_theta_grid("10:1e3:log") == \
             [Fraction(10), Fraction(100), Fraction(1000)]
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "abc", "1/0"])
+    def test_rational_rejects_non_finite(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
     def test_regime(self):
         spec = parse_regime("logarithmic:1/2")
@@ -96,6 +121,34 @@ class TestTransient:
         assert payload["t0_value"] == "1/2"
 
 
+    def test_top_level_precision_is_used(self, capsys):
+        rc, out, _ = run_cli(capsys, "--precision", "300", "transient", "--eta", "2",
+                             "--x", "1/2,1/2", "--theta", "1", "--t", "1")
+        assert rc == 0
+        assert json.loads(out)["precision_bits"] == 300
+
+
+BAD_INPUTS = {
+    "negative_t": ["transient", "--eta", "2", "--x", "1", "--theta", "1", "--t", "-1"],
+    "minus_inf_t": ["transient", "--eta", "2", "--x", "1", "--theta", "1", "--t=-inf"],
+    "nan_t": ["transient", "--eta", "2", "--x", "1", "--theta", "1", "--t", "nan"],
+    "infinite_k": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "inf",
+                   "--theta-grid", "10"],
+    "grid_from_zero": ["weak-limit-scan", "--omega", "2", "--x", "1/2,1/2",
+                       "--regime", "proportional:1", "--theta-grid", "0:10:log"],
+    "grid_below_zero": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
+                        "--theta-grid=-1:10:log"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_without_traceback(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestRateFunction:
     def test_json_shape(self, capsys):
         rc, out, _ = run_cli(capsys, "rate-function", "--n", "2",
@@ -135,6 +188,13 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify", "--suite", "rate-function")
         assert rc == 0
 
+    def test_every_failure_reported(self, capsys, monkeypatch):
+        rows = [("a", True, ""), ("b", False, "1"), ("c", True, ""), ("d", False, "2")]
+        monkeypatch.setattr(cli, "run_suite", lambda name, **kw: iter(rows))
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
+        assert rc == 1
+        assert out.splitlines() == ["FAIL b: 1", "FAIL d: 2"]
+
     def test_orthogonality_small(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "orthogonality",
                              "--max-size", "4", "--theta", "1")
@@ -150,6 +210,14 @@ class TestConfig:
                              "--theta", "1", "--t", "1")
         assert rc == 0
         assert json.loads(out)["precision_bits"] == 128
+
+    @pytest.mark.parametrize("line", ["seed=1", "max_atoms=10"])
+    def test_unused_keys_rejected(self, capsys, tmp_path, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(line + "\n")
+        rc, _, err = run_cli(capsys, "--config", str(cfg), "moment",
+                             "--eta", "2", "--theta", "1")
+        assert rc == 3 and "unknown config key" in err
 
     def test_bad_config_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_partitions
 from neutral_sampler.moments import esf_monomial_moment, power_sum_moment
 from neutral_sampler.sampling import FrequencyVector, power_sum_product, sampling_probability
 from neutral_sampler.transient import (
     STATIONARY,
-    BasisNotBuiltError,
     SpectralEvaluator,
     TimePoint,
+    check_time,
     eigenvalue,
     transient_moment,
     transient_sampling_probability,
@@ -50,6 +52,64 @@ class TestTimePoint:
         assert TimePoint(STATIONARY, Fraction(1)).is_stationary
 
 
+BAD_TIMES = [-1, -math.inf, math.nan, Fraction(-1, 2), mpmath.mpf(-1),
+             -mpmath.inf, mpmath.nan]
+
+
+class TestCheckTime:
+    @pytest.mark.parametrize("t", [math.inf, mpmath.inf])
+    def test_plus_inf_is_the_sentinel(self, t):
+        assert check_time(t) is STATIONARY
+
+    @pytest.mark.parametrize("t", [0, 2, 0.5, Fraction(3, 4), mpmath.mpf("0.1")])
+    def test_finite_time_passes_through(self, t):
+        assert check_time(t) is t
+
+    @pytest.mark.parametrize("t", BAD_TIMES, ids=repr)
+    def test_bad_time_rejected_everywhere(self, t, x_full):
+        with pytest.raises(ValueError):
+            check_time(t)
+        with pytest.raises(ValueError):
+            TimePoint(t, Fraction(1))
+        ev = SpectralEvaluator(Fraction(1))
+        with pytest.raises(ValueError):
+            ev.sampling_probability(P2, x_full, t)
+        with pytest.raises(ValueError):
+            ev.moment(P2, x_full, t)
+
+    @pytest.mark.parametrize("theta", [Fraction(1), Fraction(10)])
+    def test_fraction_time_equals_float_time(self, theta, x_full):
+        ev = SpectralEvaluator(theta)
+        eta = IntegerPartition.of(2, 1, 1)
+        assert ev.sampling_probability(eta, x_full, Fraction(3, 4)) == \
+            ev.sampling_probability(eta, x_full, 0.75)
+        assert ev.moment(P2, x_full, Fraction(3, 4)) == ev.moment(P2, x_full, 0.75)
+        tp = TimePoint(Fraction(3, 4), theta)
+        assert transient_sampling_probability(eta, x_full, tp) == \
+            ev.sampling_probability(eta, x_full, 0.75)
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+_PROPERTY_EV = SpectralEvaluator(Fraction(1), 64)
+_POINT = FrequencyVector.parse("1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(), st.fractions(), st.integers(-10**6, 10**6)))
+def test_timepoint_and_evaluator_accept_the_same_times(t):
+    accepted = _accepts(lambda: TimePoint(t, Fraction(1), 64))
+    assert accepted == (t >= 0)
+    assert _accepts(lambda: _PROPERTY_EV.sampling_probability(P2, _POINT, t)) == accepted
+    assert _accepts(lambda: _PROPERTY_EV.moment(P2, _POINT, t)) == accepted
+
+
 class TestTransientMoment:
     def test_closed_form_pair(self, x_point):
         # E phi_2 = 1/(1+theta) + e^{-(1+theta)t}(phi_2(x) - 1/(1+theta));
@@ -61,7 +121,7 @@ class TestTransientMoment:
 
     @pytest.mark.parametrize("theta", [Fraction(1), Fraction(10)])
     def test_t0_identity_to_full_precision(self, theta, x_full):
-        ev = SpectralEvaluator(theta, 6, 256)
+        ev = SpectralEvaluator(theta, 256)
         with mpmath.workprec(300):
             for n in range(2, 7):
                 for omega in enumerate_partitions(n):
@@ -78,11 +138,6 @@ class TestTransientMoment:
         got = transient_moment(IntegerPartition.of(2, 2), x_full, tp)
         assert got == power_sum_moment(IntegerPartition.of(2, 2), Fraction(10))
 
-    def test_size_beyond_basis_rejected(self, x_full):
-        ev = SpectralEvaluator(Fraction(1), 3)
-        with pytest.raises(BasisNotBuiltError):
-            ev.moment(IntegerPartition.of(2, 2), x_full, mpmath.mpf(1))
-
 
 class TestTransientSampling:
     def test_pair_at_log2_over_2(self, x_point):
@@ -93,7 +148,7 @@ class TestTransientSampling:
 
     @pytest.mark.parametrize("theta", [Fraction(1), Fraction(10)])
     def test_t0_reproduces_sampling_probability(self, theta, x_full):
-        ev = SpectralEvaluator(theta, 5, 256)
+        ev = SpectralEvaluator(theta, 256)
         with mpmath.workprec(300):
             for n in range(1, 6):
                 for eta in enumerate_partitions(n):
@@ -104,7 +159,7 @@ class TestTransientSampling:
 
     @pytest.mark.parametrize("theta", [Fraction(1), Fraction(10)])
     def test_stationary_is_ewens_exactly(self, theta, x_full):
-        ev = SpectralEvaluator(theta, 5, 256)
+        ev = SpectralEvaluator(theta, 256)
         for n in range(1, 6):
             for eta in enumerate_partitions(n):
                 esf = ev.stationary_sampling_probability(eta)
@@ -121,7 +176,7 @@ class TestTransientSampling:
     @pytest.mark.parametrize("theta", [Fraction(1), Fraction(10)])
     @pytest.mark.parametrize("t", ["0.01", "0.1", "1", "10"])
     def test_normalization_in_time(self, theta, t, x_full):
-        ev = SpectralEvaluator(theta, 5, 256)
+        ev = SpectralEvaluator(theta, 256)
         with mpmath.workprec(256):
             for n in range(1, 6):
                 total = sum(ev.sampling_probability(eta, x_full, mpmath.mpf(t))
@@ -131,7 +186,7 @@ class TestTransientSampling:
     @pytest.mark.parametrize("theta", [Fraction(50), Fraction(200)])
     def test_all_singletons_monotone_toward_stationary(self, theta, x_full):
         # Dust takes over: at large theta the all-singleton probability climbs.
-        ev = SpectralEvaluator(theta, 4, 256)
+        ev = SpectralEvaluator(theta, 256)
         eta = IntegerPartition.of(1, 1, 1, 1)
         times = [mpmath.mpf(t) for t in ("0.01", "0.1", "1", "10")]
         values = [ev.sampling_probability(eta, x_full, t) for t in times]
