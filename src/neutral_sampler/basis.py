@@ -63,7 +63,9 @@ class BasisElement:
         }
 
 
-@lru_cache(maxsize=None)
+# One entry per (max_size, theta); like power_sum_moment, a scan only
+# revisits the theta it is on.
+@lru_cache(maxsize=128)
 def build_basis(max_size: int, theta) -> tuple[BasisElement, ...]:
     """Orthogonalize {1, phi_eta : 2 <= |eta| <= max_size} in canonical order.
 

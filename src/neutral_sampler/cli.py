@@ -69,6 +69,12 @@ def fmt_float(value, precision_bits: int) -> str:
     return mpmath.nstr(value, int(precision_bits * 0.30103) + 2)
 
 
+def check_size(size: int, what: str, cfg):
+    """Refuse a request larger than the configured max_n (exit 3)."""
+    if size > cfg.max_n:
+        raise CapExceededError("%s = %d exceeds max_n = %d" % (what, size, cfg.max_n))
+
+
 def emit(payload, rows=None, header=None, fmt="json", out=None):
     stream = open(out, "w", newline="") if out else sys.stdout
     try:
@@ -87,8 +93,7 @@ def emit(payload, rows=None, header=None, fmt="json", out=None):
 def cmd_sample_prob(args, cfg):
     eta = IntegerPartition.parse(args.eta)
     x = FrequencyVector.parse(args.x)
-    if eta.n > cfg.max_n:
-        raise CapExceededError("|eta| = %d exceeds max_n = %d" % (eta.n, cfg.max_n))
+    check_size(eta.n, "|eta|", cfg)
     p = sampling_probability(eta, x)
     emit({
         "eta": eta.to_json(),
@@ -100,19 +105,19 @@ def cmd_sample_prob(args, cfg):
 
 
 def cmd_moment(args, cfg):
-    from .moments import mixed_power_sum_moment, power_sum_moment
+    from .moments import mixed_power_sum_moment
     eta = IntegerPartition.parse(args.eta)
+    xi = IntegerPartition.parse(args.xi or "")
     theta = parse_rational(args.theta)
-    if args.xi is not None:
-        value = mixed_power_sum_moment(eta, IntegerPartition.parse(args.xi), theta)
-    else:
-        value = power_sum_moment(eta, theta)
+    check_size(eta.n + xi.n, "|eta| + |xi|", cfg)
+    value = mixed_power_sum_moment(eta, xi, theta)
     emit({"eta": eta.to_json(), "xi": args.xi, "theta": str(theta),
           "value": str(value)}, fmt="json", out=args.out)
 
 
 def cmd_basis(args, cfg):
     theta = parse_rational(args.theta)
+    check_size(args.max_size, "--max-size", cfg)
     basis = build_basis(args.max_size, theta)
     emit([el.to_json() for el in basis], fmt="json", out=args.out)
 
@@ -122,8 +127,7 @@ def cmd_transient(args, cfg):
     x = FrequencyVector.parse(args.x)
     theta = parse_rational(args.theta)
     prec = cfg.precision_bits
-    if eta.n > cfg.max_n:
-        raise CapExceededError("|eta| = %d exceeds max_n = %d" % (eta.n, cfg.max_n))
+    check_size(eta.n, "|eta|", cfg)
     ev = get_evaluator(theta, prec)
     value = ev.sampling_probability(eta, x, mpmath.mpf(args.t))
     emit({
@@ -142,6 +146,7 @@ def cmd_weak_limit_scan(args, cfg):
     x = FrequencyVector.parse(args.x)
     regime = parse_regime(args.regime)
     prec = cfg.precision_bits
+    check_size(omega.n, "|omega|", cfg)
     rows = asymptotics.moment_limit_scan(
         omega, x, regime, parse_theta_grid(args.theta_grid), prec)
     table = [[str(r.theta), fmt_float(r.computed, prec),
@@ -157,6 +162,7 @@ def cmd_lemma41_scan(args, cfg):
     eta = IntegerPartition.parse(args.eta)
     xi = IntegerPartition.parse(args.xi) if args.xi is not None else None
     grid = parse_theta_grid(args.theta_grid)
+    check_size(eta.n + (xi.n if xi is not None else 0), "|eta| + |xi|", cfg)
     pairs = [(th, 2 * th) for th in grid]
     rows = asymptotics.lemma41_order_scan(eta, xi, pairs)
     table = []
@@ -182,6 +188,7 @@ def cmd_ldp_scan(args, cfg):
     x = FrequencyVector.parse(args.x)
     k = parse_rational(args.k)
     prec = args.precision or 512
+    check_size(args.n, "n", cfg)
     target = asymptotics.rate_function(args.n, eta, k)
     rows = asymptotics.ldp_slope_scan(
         args.n, eta, k, parse_theta_grid(args.theta_grid), x, prec)
@@ -200,6 +207,7 @@ def cmd_ldp_scan(args, cfg):
 
 
 def cmd_verify(args, cfg):
+    check_size(args.max_size, "--max-size", cfg)
     kwargs = {}
     if args.suite == "orthogonality":
         kwargs = {"max_size": args.max_size,

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import product
+from math import comb, factorial
 from typing import Iterator
 
 
@@ -66,6 +67,11 @@ class IntegerPartition:
         for p in self.parts:
             counts[p - 1] += 1
         return tuple(counts)
+
+    @property
+    def multiplicities(self) -> tuple[tuple[int, int], ...]:
+        """(part, multiplicity) pairs, largest part first."""
+        return tuple((p, c) for p, c in reversed(tuple(enumerate(self.alpha, 1))) if c)
 
     @property
     def alpha_1(self) -> int:
@@ -138,10 +144,6 @@ class SetPartition:
     def l(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    def block_sums(self, parts: tuple[int, ...]) -> tuple[int, ...]:
-        """Sum the given part values over each block (1-based indices)."""
-        return tuple(sum(parts[i - 1] for i in b) for b in self.blocks)
-
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
 
@@ -155,7 +157,7 @@ def _partition_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def enumerate_partitions(n: int) -> tuple[IntegerPartition, ...]:
     """All partitions of n, in the canonical order."""
     if n < 1:
@@ -164,7 +166,7 @@ def enumerate_partitions(n: int) -> tuple[IntegerPartition, ...]:
     return tuple(sorted(parts, key=IntegerPartition.sort_key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def enumerate_partitions_min2(n: int) -> tuple[IntegerPartition, ...]:
     """Partitions of n with every part >= 2, in canonical order."""
     if n < 1:
@@ -173,7 +175,7 @@ def enumerate_partitions_min2(n: int) -> tuple[IntegerPartition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def enumerate_set_partitions(l: int, d: int) -> tuple[SetPartition, ...]:
     """All partitions of {1..l} into exactly d min-ordered blocks."""
     if l < 1:
@@ -204,9 +206,45 @@ def enumerate_set_partitions(l: int, d: int) -> tuple[SetPartition, ...]:
     return tuple(results)
 
 
-def all_set_partitions(l: int) -> Iterator[SetPartition]:
-    for d in range(1, l + 1):
-        yield from enumerate_set_partitions(l, d)
+# Expanding every eta of n = 20 visits 1254 sub-multisets.
+@lru_cache(maxsize=4096)
+def coarsening_weights(
+    multiset: tuple[tuple[int, int], ...], signed: bool
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Sum over the set partitions of a multiset of parts, grouped by the
+    multiset of block sums.
+
+    `multiset` holds (part, multiplicity) pairs, largest part first, as
+    IntegerPartition.multiplicities gives them.  Returns (block sums,
+    weight) pairs, the sums nonincreasing, with zero weights dropped.  A set
+    partition weighs the product over its blocks B of (-1)^(|B|-1) (|B|-1)!
+    when `signed` (the Moebius function of the partition lattice), else 1,
+    so the weight of the unsigned sum counts set partitions.
+
+    Equal parts are indistinguishable, so no set partition is listed: one
+    copy of the largest part takes a sub-multiset of the rest into its block,
+    C(c, s) ways for s of c equal copies, and the remainder recurses.
+    """
+    if not multiset:
+        return (((), 1),)
+    (top, count), rest = multiset[0], multiset[1:]
+    groups = ((top, count - 1),) + rest
+    out: dict[tuple[int, ...], int] = {}
+    for taken in product(*(range(c + 1) for _, c in groups)):
+        size, total, ways = 1, top, 1
+        remainder = []
+        for (part, c), s in zip(groups, taken):
+            size += s
+            total += part * s
+            ways *= comb(c, s)
+            if c > s:
+                remainder.append((part, c - s))
+        if signed:
+            ways *= (-1) ** (size - 1) * factorial(size - 1)
+        for sums, weight in coarsening_weights(tuple(remainder), signed):
+            key = tuple(sorted(sums + (total,), reverse=True))
+            out[key] = out.get(key, 0) + ways * weight
+    return tuple((k, v) for k, v in out.items() if v != 0)
 
 
 def multinomial_constant(eta: IntegerPartition) -> Fraction:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .combinatorics import EMPTY, IntegerPartition, all_set_partitions
+from .combinatorics import EMPTY, IntegerPartition, coarsening_weights
 
 
 def check_theta(theta: Fraction) -> Fraction:
@@ -46,24 +46,28 @@ def esf_monomial_moment(eta: IntegerPartition, theta) -> Fraction:
     return num * theta**eta.l / rising_factorial(theta, eta.n)
 
 
-@lru_cache(maxsize=None)
+# One entry per (label, theta): room for the 134 labels up to size 14 at
+# about 30 thetas, while a theta scan only revisits the theta it is on.
+@lru_cache(maxsize=4096)
 def power_sum_moment(eta: IntegerPartition, theta) -> Fraction:
     """<phi_eta, 1>_theta: the PD(theta) mean of the power-sum product.
 
-    Sums the Ewens moment of each set-partition coarsening of the parts;
-    requires every part >= 2 (the empty partition gives 1).
+    Sums the Ewens moment of each set-partition coarsening zeta of the parts,
+    sum_zeta N_zeta theta^l(zeta) prod_i (zeta_i - 1)! / theta_(n), where
+    N_zeta counts the coarsenings with block sums zeta; requires every part
+    >= 2 (the empty partition gives 1).
     """
     theta = check_theta(theta)
     if eta == EMPTY:
         return Fraction(1)
     if eta.min_part < 2:
         raise ValueError("power sums need parts >= 2, got %s" % (eta,))
-    total = Fraction(0)
-    for beta in all_set_partitions(eta.l):
-        term = theta**beta.d
-        for s in beta.block_sums(eta.parts):
-            term *= factorial(s - 1)
-        total += term
+    by_blocks = [0] * (eta.l + 1)
+    for sums, count in coarsening_weights(eta.multiplicities, False):
+        for s in sums:
+            count *= factorial(s - 1)
+        by_blocks[len(sums)] += count
+    total = sum((c * theta**d for d, c in enumerate(by_blocks)), Fraction(0))
     return total / rising_factorial(theta, eta.n)
 
 

@@ -3,8 +3,9 @@
 Two independent routes are kept side by side: a brute-force sum over tuples
 of distinct atom indices (exponential, capped) and the alternating
 set-partition expansion in power sums (the continuous extension, with the
-phi_1 == 1 convention).  Singleton sample slots may draw from the dust mass
-1 - sum(atoms); each dust draw is automatically a fresh type.
+phi_1 == 1 convention), summed by a recursion on the multiset of parts.
+Singleton sample slots may draw from the dust mass 1 - sum(atoms); each
+dust draw is automatically a fresh type.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .combinatorics import (
     EMPTY,
     IntegerPartition,
-    all_set_partitions,
+    coarsening_weights,
     enumerate_partitions,
     multinomial_constant,
 )
@@ -132,25 +132,21 @@ def monomial_sampler_bruteforce(
     return walk(0, 0)
 
 
-@lru_cache(maxsize=None)
+# Room for every eta up to n = 16 (915 of them).
+@lru_cache(maxsize=1024)
 def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[IntegerPartition, Fraction], ...]:
     """Expansion of p^o_eta over power-sum monomials phi_xi.
 
-    Returns (xi, coefficient) pairs where xi has all parts >= 2 or is empty;
-    block sums equal to 1 are dropped because phi_1 == 1.
+    Returns (xi, coefficient) pairs where xi has all parts >= 2 or is empty:
+    the Moebius-weighted sum over set partitions of the parts, grouped by
+    block sums, with block sums equal to 1 dropped because phi_1 == 1.
     """
-    if eta == EMPTY:
-        return ((EMPTY, Fraction(1)),)
-    coeffs: dict[IntegerPartition, Fraction] = {}
-    l = eta.l
-    for beta in all_set_partitions(l):
-        weight = Fraction((-1) ** (l - beta.d))
-        for b in beta.blocks:
-            weight *= factorial(len(b) - 1)
-        sums = beta.block_sums(eta.parts)
-        key = IntegerPartition.of(*(s for s in sums if s >= 2))
-        coeffs[key] = coeffs.get(key, Fraction(0)) + weight
-    return tuple((k, v) for k, v in coeffs.items() if v != 0)
+    coeffs: dict[tuple[int, ...], int] = {}
+    for sums, weight in coarsening_weights(eta.multiplicities, True):
+        key = tuple(s for s in sums if s >= 2)
+        coeffs[key] = coeffs.get(key, 0) + weight
+    return tuple((IntegerPartition(k), Fraction(v))
+                 for k, v in coeffs.items() if v != 0)
 
 
 def monomial_sampler_expansion(eta: IntegerPartition, x: FrequencyVector) -> Fraction:

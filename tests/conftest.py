@@ -1,17 +1,22 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: partition counts come
-from the Euler recurrence, Bell/Stirling numbers from their triangles, and
-expected rationals are recomputed from first principles where frozen.
+from the Euler recurrence, Bell/Stirling numbers from their triangles,
+set-partition sums list every set partition instead of recursing on the
+multiset of parts, and expected rationals are recomputed from first
+principles where frozen.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
+from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
+from neutral_sampler.moments import rising_factorial
 from neutral_sampler.sampling import FrequencyVector
 
 
@@ -36,6 +41,43 @@ def stirling2(l: int, d: int) -> int:
 
 def bell(l: int) -> int:
     return sum(stirling2(l, d) for d in range(l + 1))
+
+
+def coarsenings(parts: tuple[int, ...]):
+    """Yield (set partition, block sums) for every set partition of the
+    positions of `parts`: Bell(len(parts)) of them."""
+    l = len(parts)
+    for d in range(1, l + 1):
+        for beta in enumerate_set_partitions(l, d):
+            yield beta, tuple(sum(parts[i - 1] for i in b) for b in beta.blocks)
+
+
+def bell_expansion(eta: IntegerPartition) -> dict[IntegerPartition, Fraction]:
+    """p^o_eta over phi-monomials by the Moebius-weighted Bell sum, with
+    block sums equal to 1 dropped (phi_1 == 1) and zero terms removed."""
+    if not eta.parts:
+        return {eta: Fraction(1)}
+    coeffs: dict[IntegerPartition, Fraction] = {}
+    for beta, sums in coarsenings(eta.parts):
+        weight = Fraction((-1) ** (eta.l - beta.d))
+        for b in beta.blocks:
+            weight *= factorial(len(b) - 1)
+        key = IntegerPartition.of(*(s for s in sums if s >= 2))
+        coeffs[key] = coeffs.get(key, Fraction(0)) + weight
+    return {k: v for k, v in coeffs.items() if v != 0}
+
+
+def bell_power_sum_moment(eta: IntegerPartition, theta) -> Fraction:
+    """<phi_eta, 1>_theta as the Bell sum of the Ewens moments of every
+    set-partition coarsening of the parts (all parts >= 2)."""
+    theta = Fraction(theta)
+    total = Fraction(0)
+    for beta, sums in coarsenings(eta.parts):
+        term = theta**beta.d
+        for s in sums:
+            term *= factorial(s - 1)
+        total += term
+    return total / rising_factorial(theta, eta.n)
 
 
 @pytest.fixture

@@ -149,6 +149,29 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert proc.stdout == ""
 
 
+OVERSIZED = {
+    "moment": ["moment", "--eta", ",".join(["2"] * 12), "--theta", "1"],
+    "moment_with_xi": ["moment", "--eta", "2,2,2", "--xi", "3,2", "--theta", "1"],
+    "basis": ["basis", "--max-size", "11", "--theta", "1"],
+    "verify": ["verify", "--suite", "orthogonality", "--max-size", "9"],
+    "lemma41_scan": ["lemma41-scan", "--eta", "4,3", "--xi", "2,2",
+                     "--theta-grid", "1e6"],
+    "weak_limit_scan": ["weak-limit-scan", "--omega", "3,3,3", "--x", "1/2,1/2",
+                        "--regime", "proportional:1", "--theta-grid", "1e3"],
+    "ldp_scan": ["ldp-scan", "--n", "11", "--eta", "2,2,2,2,2,1", "--k", "1/2",
+                 "--theta-grid", "1e5"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_request_exits_3(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and "exceeds max_n = 8" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
 class TestRateFunction:
     def test_json_shape(self, capsys):
         rc, out, _ = run_cli(capsys, "rate-function", "--n", "2",

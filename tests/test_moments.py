@@ -6,7 +6,6 @@ import pytest
 from neutral_sampler.combinatorics import (
     EMPTY,
     IntegerPartition,
-    all_set_partitions,
     enumerate_partitions,
 )
 from neutral_sampler.moments import (
@@ -15,6 +14,7 @@ from neutral_sampler.moments import (
     power_sum_moment,
     rising_factorial,
 )
+from conftest import bell_power_sum_moment, coarsenings
 
 THETA_GRID = [Fraction(1, 2), 1, 2, 4, 8, 16, 32]
 
@@ -84,10 +84,16 @@ class TestPowerSumMoment:
         # must equal the termwise Ewens moments; |eta| <= 5.
         for eta in partitions_min2(5):
             expected = Fraction(0)
-            for beta in all_set_partitions(eta.l):
-                block = IntegerPartition.of(*beta.block_sums(eta.parts))
-                expected += esf_monomial_moment(block, theta)
+            for _, sums in coarsenings(eta.parts):
+                expected += esf_monomial_moment(IntegerPartition.of(*sums), theta)
             assert power_sum_moment(eta, theta) == expected
+            assert bell_power_sum_moment(eta, theta) == expected
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, Fraction(37, 4)])
+    def test_equals_bell_sum_up_to_size_12(self, theta):
+        for eta in partitions_min2(12):
+            assert power_sum_moment(eta, theta) == \
+                bell_power_sum_moment(eta, theta), eta
 
     def test_in_unit_interval_and_decreasing_in_theta(self):
         for eta in partitions_min2(8):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutral_sampler.combinatorics import (
     IntegerPartition,
@@ -12,12 +14,14 @@ from neutral_sampler.sampling import (
     CapExceededError,
     FrequencyVector,
     consistency_check,
+    expansion_of_monomial_sampler,
     monomial_sampler_bruteforce,
     monomial_sampler_expansion,
     power_sum,
     random_frequency_vector,
     sampling_probability,
 )
+from conftest import bell_expansion
 
 
 class TestFrequencyVector:
@@ -108,6 +112,29 @@ class TestExpansion:
                 assert monomial_sampler_expansion(eta, x) == \
                     monomial_sampler_bruteforce(eta, x), (eta, x)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_equals_bell_sum(self, n):
+        for eta in enumerate_partitions(n):
+            got = dict(expansion_of_monomial_sampler(eta))
+            assert got == bell_expansion(eta), eta
+            assert all(type(v) is Fraction for v in got.values())
+
+
+@st.composite
+def exact_vectors(draw):
+    """Up to five atoms from integer weights, with or without dust mass."""
+    weights = draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
+    dust = draw(st.integers(0, 20))
+    denom = sum(weights) + dust
+    return FrequencyVector.of(*(Fraction(w, denom) for w in weights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),
+       exact_vectors())
+def test_expansion_equals_bruteforce_property(eta, x):
+    assert monomial_sampler_expansion(eta, x) == monomial_sampler_bruteforce(eta, x)
+
 
 class TestSamplingProbability:
     def test_pair_on_two_atoms(self):
@@ -133,7 +160,7 @@ class TestSamplingProbability:
                     for eta in enumerate_partitions(n))
         assert total == 1
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", [*range(1, 7), 14])
     def test_normalization_with_dust(self, n, x_dusty):
         total = sum(sampling_probability(eta, x_dusty)
                     for eta in enumerate_partitions(n))
@@ -158,6 +185,10 @@ class TestConsistency:
 
     def test_n3_with_dust(self, x_dusty):
         ok, _ = consistency_check(3, x_dusty)
+        assert ok
+
+    def test_n12(self, x_full):
+        ok, _ = consistency_check(12, x_full)
         assert ok
 
     def test_n1_rejected(self, x_full):
