@@ -34,6 +34,14 @@ class IntegerPartition:
             raise ValueError("parts must be nonincreasing: %r" % (parts,))
 
     @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "IntegerPartition":
+        """A label from positive ints already in nonincreasing order, as the
+        library derives them from valid labels; skips the validation."""
+        label = object.__new__(cls)
+        object.__setattr__(label, "parts", parts)
+        return label
+
+    @classmethod
     def of(cls, *parts: int) -> "IntegerPartition":
         return cls(tuple(sorted(parts, reverse=True)))
 
@@ -87,7 +95,8 @@ class IntegerPartition:
         return (self.n, tuple(-p for p in self.parts))
 
     def concat(self, other: "IntegerPartition") -> "IntegerPartition":
-        return IntegerPartition.of(*(self.parts + other.parts))
+        return IntegerPartition._trusted(
+            tuple(sorted(self.parts + other.parts, reverse=True)))
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -162,7 +171,7 @@ def enumerate_partitions(n: int) -> tuple[IntegerPartition, ...]:
     """All partitions of n, in the canonical order."""
     if n < 1:
         raise EmptyInputError("n must be >= 1, got %r" % (n,))
-    parts = [IntegerPartition(t) for t in _partition_tuples(n, n)]
+    parts = [IntegerPartition._trusted(t) for t in _partition_tuples(n, n)]
     return tuple(sorted(parts, key=IntegerPartition.sort_key))
 
 

@@ -3,7 +3,8 @@
 Two independent routes are kept side by side: a brute-force sum over tuples
 of distinct atom indices (exponential, capped) and the alternating
 set-partition expansion in power sums (the continuous extension, with the
-phi_1 == 1 convention), summed by a recursion on the multiset of parts.
+phi_1 == 1 convention), summed by a recursion on the multiset of parts and
+evaluated as one integer sum over a common denominator of the atoms.
 Singleton sample slots may draw from the dust mass 1 - sum(atoms); each
 dust draw is automatically a fresh type.
 """
@@ -14,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .combinatorics import (
     EMPTY,
@@ -73,21 +75,36 @@ class FrequencyVector:
         return [str(a) for a in self.atoms]
 
 
+def _power_sum_table(x: FrequencyVector, k_max: int) -> tuple[int, list[int]]:
+    """(D, W) with phi_k(x) = W[k] / D^k for 1 <= k <= k_max.
+
+    D is the lcm of the atoms' denominators and W[k] = sum_i (a_i D)^k is an
+    integer; W[1] = D carries the phi_1 == 1 convention (W[0] is unused).
+    """
+    d = lcm(*(a.denominator for a in x.atoms))
+    weights = [a.numerator * (d // a.denominator) for a in x.atoms]
+    sums = [0, d]
+    powers = weights
+    for _ in range(2, k_max + 1):
+        powers = [p * w for p, w in zip(powers, weights)]
+        sums.append(sum(powers))
+    return d, sums
+
+
 def power_sum(k: int, x: FrequencyVector) -> Fraction:
     """phi_k(x) = sum_i atoms_i^k for k >= 2; phi_1 == 1 by convention."""
     if k < 1:
         raise ValueError("k must be >= 1, got %r" % (k,))
-    if k == 1:
-        return Fraction(1)
-    return sum((a**k for a in x.atoms), Fraction(0))
+    return power_sum_product(IntegerPartition((k,)), x)
 
 
 def power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
-    """phi_eta(x) = prod_j phi_{eta_j}(x)."""
-    out = Fraction(1)
+    """phi_eta(x) = prod_j phi_{eta_j}(x), as one fraction over D^|eta|."""
+    d, sums = _power_sum_table(x, eta.parts[0] if eta.parts else 1)
+    num = 1
     for p in eta.parts:
-        out *= power_sum(p, x)
-    return out
+        num *= sums[p]
+    return Fraction(num, d**eta.n)
 
 
 def monomial_sampler_bruteforce(
@@ -145,16 +162,25 @@ def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[IntegerP
     for sums, weight in coarsening_weights(eta.multiplicities, True):
         key = tuple(s for s in sums if s >= 2)
         coeffs[key] = coeffs.get(key, 0) + weight
-    return tuple((IntegerPartition(k), Fraction(v))
+    return tuple((IntegerPartition._trusted(k), Fraction(v))
                  for k, v in coeffs.items() if v != 0)
 
 
 def monomial_sampler_expansion(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
-    """p^o_eta(x) via the alternating set-partition expansion."""
-    total = Fraction(0)
+    """p^o_eta(x) via the alternating set-partition expansion, summed as one
+    integer over the common denominator D^|eta|."""
+    n = eta.n
+    d, sums = _power_sum_table(x, n)
+    d_powers = [1]
+    for _ in range(n):
+        d_powers.append(d_powers[-1] * d)
+    total = 0
     for xi, coeff in expansion_of_monomial_sampler(eta):
-        total += coeff * power_sum_product(xi, x)
-    return total
+        term = coeff.numerator * d_powers[n - xi.n]
+        for p in xi.parts:
+            term *= sums[p]
+        total += term
+    return Fraction(total, d_powers[n])
 
 
 def sampling_probability(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
@@ -176,7 +202,7 @@ def removal_children(eta: IntegerPartition):
         parts.remove(r)
         if r > 1:
             parts.append(r - 1)
-        xi = IntegerPartition.of(*parts)
+        xi = IntegerPartition._trusted(tuple(sorted(parts, reverse=True)))
         yield xi, Fraction(r * count, n)
 
 

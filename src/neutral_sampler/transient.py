@@ -23,6 +23,10 @@ from .sampling import FrequencyVector, expansion_of_monomial_sampler
 
 DEFAULT_PRECISION_BITS = 256
 
+#: Entries per evaluator in each eigen-coefficient cache, one per (label, x):
+#: room for every eta of n <= 9 (96 of them) on two vectors.
+EIGENCOEFF_CACHE_SIZE = 256
+
 #: Sentinel accepted wherever a time is expected: drop all exponentials.
 STATIONARY = math.inf
 
@@ -82,7 +86,12 @@ class SpectralEvaluator:
     def __init__(self, theta, precision_bits: int = DEFAULT_PRECISION_BITS):
         self.theta = check_theta(theta)
         self.precision_bits = check_precision(precision_bits)
-        self._eigencoeff_cache: dict = {}
+        # Per evaluator, since the coefficients depend on theta; bounded,
+        # since get_evaluator keeps up to 32 evaluators alive.
+        self._moment_eigencoeffs = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
+            self._moment_eigencoeffs)
+        self._sampler_eigencoeffs = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
+            self._sampler_eigencoeffs)
 
     # -- exact layer ---------------------------------------------------
 
@@ -105,25 +114,14 @@ class SpectralEvaluator:
         return {m: v for m, v in out.items() if v != 0}
 
     def _moment_eigencoeffs(self, omega: IntegerPartition, x: FrequencyVector):
-        key = ("phi", omega, x)
-        if key not in self._eigencoeff_cache:
-            if omega != EMPTY and omega.min_part < 2:
-                raise ValueError("moment needs parts >= 2, got %s" % (omega,))
-            self._eigencoeff_cache[key] = self.eigen_coefficients(
-                ((omega, Fraction(1)),), x
-            )
-        return self._eigencoeff_cache[key]
+        if omega != EMPTY and omega.min_part < 2:
+            raise ValueError("moment needs parts >= 2, got %s" % (omega,))
+        return self.eigen_coefficients(((omega, Fraction(1)),), x)
 
     def _sampler_eigencoeffs(self, eta: IntegerPartition, x: FrequencyVector):
-        key = ("p", eta, x)
-        if key not in self._eigencoeff_cache:
-            expansion = expansion_of_monomial_sampler(eta)
-            coeffs = self.eigen_coefficients(expansion, x)
-            const = multinomial_constant(eta)
-            self._eigencoeff_cache[key] = {
-                m: const * v for m, v in coeffs.items()
-            }
-        return self._eigencoeff_cache[key]
+        coeffs = self.eigen_coefficients(expansion_of_monomial_sampler(eta), x)
+        const = multinomial_constant(eta)
+        return {m: const * v for m, v in coeffs.items()}
 
     # -- combination with exponentials ---------------------------------
 

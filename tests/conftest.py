@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: partition counts come
 from the Euler recurrence, Bell/Stirling numbers from their triangles,
 set-partition sums list every set partition instead of recursing on the
-multiset of parts, and expected rationals are recomputed from first
-principles where frozen.
+multiset of parts, power sums add Fraction powers atom by atom instead of
+summing integers over a common denominator, and expected rationals are
+recomputed from first principles where frozen.
 """
 
 from __future__ import annotations
@@ -78,6 +79,16 @@ def bell_power_sum_moment(eta: IntegerPartition, theta) -> Fraction:
             term *= factorial(s - 1)
         total += term
     return total / rising_factorial(theta, eta.n)
+
+
+def atom_power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
+    """phi_eta(x) as a product of per-atom Fraction power sums, with
+    phi_1 == 1."""
+    out = Fraction(1)
+    for p in eta.parts:
+        if p > 1:
+            out *= sum((a**p for a in x.atoms), Fraction(0))
+    return out
 
 
 @pytest.fixture

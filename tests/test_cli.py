@@ -29,7 +29,8 @@ def run_cli_process(*argv):
     return subprocess.run(
         [sys.executable, "-m", "neutral_sampler.cli", *argv],
         capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
-        env=dict(os.environ, PYTHONPATH=src))
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))))
 
 
 class TestParsers:

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 from fractions import Fraction
+from hypothesis import given
+from hypothesis import strategies as st
 
 from neutral_sampler.combinatorics import (
     EMPTY,
@@ -25,6 +27,10 @@ class TestIntegerPartition:
     def test_rejects_nonpositive_parts(self):
         with pytest.raises(ValueError):
             IntegerPartition((2, 0))
+        with pytest.raises(ValueError):
+            IntegerPartition.of(3, -1)
+        with pytest.raises(ValueError):
+            IntegerPartition.parse("2,0")
 
     def test_of_sorts(self):
         assert IntegerPartition.of(1, 3, 2).parts == (3, 2, 1)
@@ -45,6 +51,14 @@ class TestIntegerPartition:
         a = IntegerPartition.of(3, 1)
         b = IntegerPartition.of(2)
         assert a.concat(b).parts == (3, 2, 1)
+
+    @given(st.lists(st.integers(1, 9), max_size=8),
+           st.lists(st.integers(1, 9), max_size=8))
+    def test_concat_equals_validated_label(self, a, b):
+        a, b = IntegerPartition.of(*a), IntegerPartition.of(*b)
+        got = a.concat(b)
+        want = IntegerPartition.of(*(a.parts + b.parts))
+        assert got == want and hash(got) == hash(want)
 
 
 class TestEnumeratePartitions:

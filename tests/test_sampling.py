@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutral_sampler.combinatorics import (
+    EMPTY,
     IntegerPartition,
     enumerate_partitions,
     multinomial_constant,
@@ -18,10 +19,11 @@ from neutral_sampler.sampling import (
     monomial_sampler_bruteforce,
     monomial_sampler_expansion,
     power_sum,
+    power_sum_product,
     random_frequency_vector,
     sampling_probability,
 )
-from conftest import bell_expansion
+from conftest import atom_power_sum_product, bell_expansion
 
 
 class TestFrequencyVector:
@@ -134,6 +136,45 @@ def exact_vectors(draw):
        exact_vectors())
 def test_expansion_equals_bruteforce_property(eta, x):
     assert monomial_sampler_expansion(eta, x) == monomial_sampler_bruteforce(eta, x)
+
+
+@st.composite
+def coprime_vectors(draw):
+    """Up to five atoms with independent denominators, so that their lcm
+    mixes coprime factors; with dust, without (the rest of the mass becomes
+    one more atom), or pure dust."""
+    raw = draw(st.lists(st.fractions(Fraction(1, 97), Fraction(1, 2),
+                                     max_denominator=97), max_size=5))
+    atoms, mass = [], Fraction(0)
+    for a in raw:
+        if mass + a <= 1:
+            atoms.append(a)
+            mass += a
+    if atoms and mass < 1 and not draw(st.booleans()):
+        atoms.append(1 - mass)
+    return FrequencyVector.of(*atoms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 16).flatmap(
+           lambda n: st.sampled_from(enumerate_partitions(n)) if n else st.just(EMPTY)),
+       coprime_vectors())
+def test_power_sum_product_equals_atom_oracle(eta, x):
+    assert power_sum_product(eta, x) == atom_power_sum_product(eta, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 10), coprime_vectors())
+def test_normalization_property(n, x):
+    total = sum(sampling_probability(eta, x) for eta in enumerate_partitions(n))
+    assert total == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 8), coprime_vectors())
+def test_consistency_property(n, x):
+    ok, _ = consistency_check(n, x)
+    assert ok
 
 
 class TestSamplingProbability:
