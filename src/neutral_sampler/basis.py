@@ -1,9 +1,11 @@
 """Gram-Schmidt basis over power-sum monomials, exact at a fixed rational theta.
 
 Elements are coefficient maps over phi-monomials (labels with all parts >= 2,
-plus the empty partition for the constant 1).  Projections divide by the
-squared norm of each predecessor, so the family is pairwise orthogonal
-exactly; norms are kept squared so no irrational scalar ever appears.
+plus the empty partition for the constant 1).  The basis comes from the
+factorization G = L D L^T of the Gram matrix G[a, b] = <phi_a, phi_b>_theta:
+row i of the unit lower-triangular L holds the coordinates of phi_i in the
+psi basis and D_i is the squared norm of psi_i, so the family is pairwise
+orthogonal exactly and no irrational scalar ever appears.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 from .combinatorics import EMPTY, IntegerPartition, enumerate_partitions_min2
 from .moments import check_theta, mixed_power_sum_moment
-from .sampling import FrequencyVector, power_sum_product
+from .sampling import FrequencyVector, scaled_monomials
 
 CoeffMap = dict[IntegerPartition, Fraction]
 
@@ -53,6 +55,8 @@ class BasisElement:
     theta: Fraction
     coeffs: CoeffMap = field(repr=False)
     norm2: Fraction
+    #: L[i][0..i]: phi_label = sum_j row[j] psi_j, with row[i] = 1.
+    row: tuple[Fraction, ...] = field(default=(), repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -69,28 +73,43 @@ class BasisElement:
 def build_basis(max_size: int, theta) -> tuple[BasisElement, ...]:
     """Orthogonalize {1, phi_eta : 2 <= |eta| <= max_size} in canonical order.
 
-    The canonical order makes build_basis(max_size - 1, theta) a prefix, so
-    only the labels of size max_size are orthogonalized here.
+    Row i of L comes from the Gram entries alone:
+    L[i][j] = (G[i][j] - sum_{k<j} L[i][k] L[j][k] D_k) / D_j and
+    D_i = G[i][i] - sum_{k<i} L[i][k]^2 D_k; then psi_i = phi_i -
+    sum_{j<i} L[i][j] psi_j.  The canonical order makes
+    build_basis(max_size - 1, theta) a prefix, so only the labels of size
+    max_size are added here.
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2, got %r" % (max_size,))
     theta = check_theta(theta)
     elements = list(build_basis(max_size - 1, theta)) if max_size > 2 else []
     for label in monomial_labels(max_size)[len(elements):]:
+        # ld[j] = L[i][j] D_j = <phi_i, psi_j>, so each step costs one product.
+        row: list[Fraction] = []
+        ld: list[Fraction] = []
         coeffs: CoeffMap = {label: Fraction(1)}
         for prev in elements:
-            c = inner_product({label: Fraction(1)}, prev.coeffs, theta) / prev.norm2
+            g = mixed_power_sum_moment(label, prev.label, theta)
+            for u, l in zip(ld, prev.row):
+                g -= u * l
+            c = g / prev.norm2
+            ld.append(g)
+            row.append(c)
             if c == 0:
                 continue
             for k, v in prev.coeffs.items():
                 coeffs[k] = coeffs.get(k, Fraction(0)) - c * v
         coeffs = {k: v for k, v in coeffs.items() if v != 0}
-        norm2 = inner_product(coeffs, coeffs, theta)
+        norm2 = mixed_power_sum_moment(label, label, theta)
+        for u, c in zip(ld, row):
+            norm2 -= u * c
         if norm2 <= 0:
             raise DegenerateBasisError(
                 "nonpositive norm for %s at theta=%s" % (label, theta)
             )
-        elements.append(BasisElement(label, theta, coeffs, norm2))
+        row.append(Fraction(1))
+        elements.append(BasisElement(label, theta, coeffs, norm2, tuple(row)))
     return tuple(elements)
 
 
@@ -102,10 +121,9 @@ def basis_element(max_size: int, theta, label: IntegerPartition) -> BasisElement
 
 
 def evaluate_coeff_map(coeffs: CoeffMap, x: FrequencyVector) -> Fraction:
-    total = Fraction(0)
-    for xi, c in coeffs.items():
-        total += c * power_sum_product(xi, x)
-    return total
+    """sum_xi c_xi phi_xi(x), every term from one power-sum table of x."""
+    denom, scaled = scaled_monomials(x, max((xi.n for xi in coeffs), default=0))
+    return sum((c * scaled(xi) for xi, c in coeffs.items()), Fraction(0)) / denom
 
 
 def evaluate_basis_element(psi: BasisElement, x: FrequencyVector) -> Fraction:

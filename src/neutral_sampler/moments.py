@@ -46,6 +46,24 @@ def esf_monomial_moment(eta: IntegerPartition, theta) -> Fraction:
     return num * theta**eta.l / rising_factorial(theta, eta.n)
 
 
+# One entry per label, shared by every theta: room for every label with
+# parts >= 2 up to size 20 (627 of them).
+@lru_cache(maxsize=1024)
+def _moment_coefficients(eta: IntegerPartition) -> tuple[int, ...]:
+    """(c_0, ..., c_l) with <phi_eta, 1>_theta = sum_d c_d theta^d / theta_(n).
+
+    c_d sums N_zeta prod_i (zeta_i - 1)! over the block-sum multisets zeta
+    with d blocks, where N_zeta counts the set-partition coarsenings of the
+    parts with block sums zeta.
+    """
+    by_blocks = [0] * (eta.l + 1)
+    for sums, count in coarsening_weights(eta.multiplicities, False):
+        for s in sums:
+            count *= factorial(s - 1)
+        by_blocks[len(sums)] += count
+    return tuple(by_blocks)
+
+
 # One entry per (label, theta): room for the 134 labels up to size 14 at
 # about 30 thetas, while a theta scan only revisits the theta it is on.
 @lru_cache(maxsize=4096)
@@ -53,22 +71,22 @@ def power_sum_moment(eta: IntegerPartition, theta) -> Fraction:
     """<phi_eta, 1>_theta: the PD(theta) mean of the power-sum product.
 
     Sums the Ewens moment of each set-partition coarsening zeta of the parts,
-    sum_zeta N_zeta theta^l(zeta) prod_i (zeta_i - 1)! / theta_(n), where
-    N_zeta counts the coarsenings with block sums zeta; requires every part
-    >= 2 (the empty partition gives 1).
+    sum_zeta N_zeta theta^l(zeta) prod_i (zeta_i - 1)! / theta_(n), as one
+    fraction: with theta = p/q it is sum_d c_d p^d q^(n-d) / prod_{i<n}
+    (p + i q).  Requires every part >= 2 (the empty partition gives 1).
     """
     theta = check_theta(theta)
     if eta == EMPTY:
         return Fraction(1)
     if eta.min_part < 2:
         raise ValueError("power sums need parts >= 2, got %s" % (eta,))
-    by_blocks = [0] * (eta.l + 1)
-    for sums, count in coarsening_weights(eta.multiplicities, False):
-        for s in sums:
-            count *= factorial(s - 1)
-        by_blocks[len(sums)] += count
-    total = sum((c * theta**d for d, c in enumerate(by_blocks)), Fraction(0))
-    return total / rising_factorial(theta, eta.n)
+    p, q, n = theta.numerator, theta.denominator, eta.n
+    num = sum(c * p**d * q**(n - d)
+              for d, c in enumerate(_moment_coefficients(eta)))
+    den = 1
+    for i in range(n):
+        den *= p + i * q
+    return Fraction(num, den)
 
 
 def mixed_power_sum_moment(eta: IntegerPartition, xi: IntegerPartition, theta) -> Fraction:

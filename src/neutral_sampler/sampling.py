@@ -91,6 +91,22 @@ def _power_sum_table(x: FrequencyVector, k_max: int) -> tuple[int, list[int]]:
     return d, sums
 
 
+def scaled_monomials(x: FrequencyVector, n: int):
+    """(D^n, scaled) with scaled(xi) = phi_xi(x) D^n, an integer, for every
+    label xi with |xi| <= n; one power-sum table serves every label."""
+    d, sums = _power_sum_table(x, n)
+    d_powers = [1]
+    for _ in range(n):
+        d_powers.append(d_powers[-1] * d)
+
+    def scaled(xi: IntegerPartition) -> int:
+        value = d_powers[n - xi.n]
+        for p in xi.parts:
+            value *= sums[p]
+        return value
+    return d_powers[n], scaled
+
+
 def power_sum(k: int, x: FrequencyVector) -> Fraction:
     """phi_k(x) = sum_i atoms_i^k for k >= 2; phi_1 == 1 by convention."""
     if k < 1:
@@ -100,11 +116,8 @@ def power_sum(k: int, x: FrequencyVector) -> Fraction:
 
 def power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
     """phi_eta(x) = prod_j phi_{eta_j}(x), as one fraction over D^|eta|."""
-    d, sums = _power_sum_table(x, eta.parts[0] if eta.parts else 1)
-    num = 1
-    for p in eta.parts:
-        num *= sums[p]
-    return Fraction(num, d**eta.n)
+    denom, scaled = scaled_monomials(x, eta.n)
+    return Fraction(scaled(eta), denom)
 
 
 def monomial_sampler_bruteforce(

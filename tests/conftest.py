@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: partition counts come
 from the Euler recurrence, Bell/Stirling numbers from their triangles,
 set-partition sums list every set partition instead of recursing on the
 multiset of parts, power sums add Fraction powers atom by atom instead of
-summing integers over a common denominator, and expected rationals are
-recomputed from first principles where frozen.
+summing integers over a common denominator, eigen-coefficients combine the
+rows of the Gram factorization instead of projecting by inner products, and
+expected rationals are recomputed from first principles where frozen.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import strategies as st
 
+from neutral_sampler.basis import build_basis
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
 from neutral_sampler.moments import rising_factorial
 from neutral_sampler.sampling import FrequencyVector
@@ -89,6 +92,51 @@ def atom_power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fractio
         if p > 1:
             out *= sum((a**p for a in x.atoms), Fraction(0))
     return out
+
+
+def row_eigen_coefficients(f, x: FrequencyVector, theta) -> dict[int, Fraction]:
+    """{m: C_m} of f = sum c_xi phi_xi from the rows of L instead of inner
+    products: the psi_j coordinate of f is sum_xi c_xi L[xi][j], and psi_j
+    is evaluated atom by atom."""
+    basis = build_basis(max(2, max(xi.n for xi, _ in f)), theta)
+    rows = {psi.label: psi.row for psi in basis}
+    out: dict[int, Fraction] = {}
+    for j, psi in enumerate(basis):
+        c = sum((v * rows[xi][j] for xi, v in f if j < len(rows[xi])), Fraction(0))
+        if c == 0:
+            continue
+        m = psi.label.n
+        if m:
+            c *= sum((v * atom_power_sum_product(k, x) for k, v in psi.coeffs.items()),
+                     Fraction(0))
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: v for m, v in out.items() if v != 0}
+
+
+#: theta for the properties: small p/q, a non-integer with a larger
+#: denominator, and the top of the slope-scan grid.
+thetas = st.one_of(
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)),
+    st.just(Fraction(37, 4)),
+    st.just(Fraction(10**8)),
+)
+
+
+@st.composite
+def coprime_vectors(draw):
+    """Up to five atoms with independent denominators, so that their lcm
+    mixes coprime factors; with dust, without (the rest of the mass becomes
+    one more atom), or pure dust."""
+    raw = draw(st.lists(st.fractions(Fraction(1, 97), Fraction(1, 2),
+                                     max_denominator=97), max_size=5))
+    atoms, mass = [], Fraction(0)
+    for a in raw:
+        if mass + a <= 1:
+            atoms.append(a)
+            mass += a
+    if atoms and mass < 1 and not draw(st.booleans()):
+        atoms.append(1 - mass)
+    return FrequencyVector.of(*atoms)
 
 
 @pytest.fixture

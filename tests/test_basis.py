@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from neutral_sampler import basis as basis_module
 from neutral_sampler.basis import (
     DegenerateBasisError,
     BasisElement,
@@ -15,8 +18,9 @@ from neutral_sampler.basis import (
     normalized_element,
 )
 from neutral_sampler.combinatorics import EMPTY, IntegerPartition
-from neutral_sampler.moments import mixed_power_sum_moment
+from neutral_sampler.moments import mixed_power_sum_moment, power_sum_moment
 from neutral_sampler.sampling import FrequencyVector
+from conftest import atom_power_sum_product, coprime_vectors
 
 P2 = IntegerPartition.of(2)
 
@@ -89,24 +93,45 @@ class TestBuildBasis:
         with pytest.raises(ValueError):
             build_basis(4, 0)
 
-    @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 10])
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 10, Fraction(37, 4), 10**8])
     def test_smaller_basis_is_exact_prefix(self, theta):
-        # Independent oracle: one Gram-Schmidt over every label up to size 7.
+        # Independent oracle: one Gram-Schmidt over every label up to size 7,
+        # by inner products; row j of L is <phi_label, psi_j> / |psi_j|^2.
         theta = Fraction(theta)
-        oracle = []
+        oracle, rows = [], []
         for label in monomial_labels(7):
-            coeffs = {label: Fraction(1)}
+            coeffs, row = {label: Fraction(1)}, []
             for prev in oracle:
                 c = inner_product({label: Fraction(1)}, prev.coeffs, theta) / prev.norm2
+                row.append(c)
                 for k, v in prev.coeffs.items():
                     coeffs[k] = coeffs.get(k, Fraction(0)) - c * v
             coeffs = {k: v for k, v in coeffs.items() if v != 0}
             oracle.append(BasisElement(label, theta, coeffs,
                                        inner_product(coeffs, coeffs, theta)))
+            rows.append(tuple(row) + (Fraction(1),))
         for k in range(3, 8):
             small, large = build_basis(k - 1, theta), build_basis(k, theta)
             assert large[:len(small)] == small
             assert list(large) == oracle[:len(large)]
+            assert [el.row for el in large] == rows[:len(large)]
+
+    def test_row_is_left_out_of_equality_repr_and_json(self):
+        el = basis_element(3, Fraction(1), IntegerPartition.of(3))
+        bare = BasisElement(el.label, el.theta, el.coeffs, el.norm2)
+        assert len(el.row) == 3 and bare.row == ()
+        assert el == bare
+        assert repr(el) == repr(bare)
+        assert el.to_json() == bare.to_json()
+
+    def test_rank_one_gram_matrix_is_degenerate(self, monkeypatch):
+        # phi_a phi_b -> <phi_a, 1><phi_b, 1>: every phi is a multiple of 1,
+        # so D = 0 for psi_2.
+        def rank_one(a, b, theta):
+            return power_sum_moment(a, theta) * power_sum_moment(b, theta)
+        monkeypatch.setattr(basis_module, "mixed_power_sum_moment", rank_one)
+        with pytest.raises(DegenerateBasisError):
+            build_basis(2, Fraction(9973, 3))
 
     def test_max_size_too_small(self):
         with pytest.raises(ValueError):
@@ -131,6 +156,17 @@ class TestEvaluate:
     def test_coeff_map_evaluation(self, x_full):
         got = evaluate_coeff_map({IntegerPartition.of(2): Fraction(3)}, x_full)
         assert got == 3 * (Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 36))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(monomial_labels(9)),
+                       st.fractions(-10, 10, max_denominator=50), max_size=12),
+       coprime_vectors())
+@example({EMPTY: Fraction(-3, 7), P2: Fraction(2)}, FrequencyVector(()))
+def test_coeff_map_equals_atom_oracle(coeffs, x):
+    expected = sum((c * atom_power_sum_product(xi, x) for xi, c in coeffs.items()),
+                   Fraction(0))
+    assert evaluate_coeff_map(coeffs, x) == expected
 
 
 class TestNormalizedElement:

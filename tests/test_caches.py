@@ -21,7 +21,7 @@ def test_every_cache_is_bounded():
         module = importlib.import_module("neutral_sampler." + info.name)
         caches += _bounds(module, info.name, module.__name__)
     caches += _bounds(SpectralEvaluator(1), "transient.SpectralEvaluator")
-    assert len(caches) >= 10
+    assert len(caches) >= 11
     assert [c for c in caches if c[1] is None] == []
 
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutral_sampler.combinatorics import (
     EMPTY,
@@ -14,7 +16,7 @@ from neutral_sampler.moments import (
     power_sum_moment,
     rising_factorial,
 )
-from conftest import bell_power_sum_moment, coarsenings
+from conftest import bell_power_sum_moment, coarsenings, thetas
 
 THETA_GRID = [Fraction(1, 2), 1, 2, 4, 8, 16, 32]
 
@@ -94,6 +96,11 @@ class TestPowerSumMoment:
         for eta in partitions_min2(12):
             assert power_sum_moment(eta, theta) == \
                 bell_power_sum_moment(eta, theta), eta
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(list(partitions_min2(12))), thetas)
+    def test_equals_bell_sum_property(self, eta, theta):
+        assert power_sum_moment(eta, theta) == bell_power_sum_moment(eta, theta)
 
     def test_in_unit_interval_and_decreasing_in_theta(self):
         for eta in partitions_min2(8):

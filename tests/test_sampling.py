@@ -23,7 +23,7 @@ from neutral_sampler.sampling import (
     random_frequency_vector,
     sampling_probability,
 )
-from conftest import atom_power_sum_product, bell_expansion
+from conftest import atom_power_sum_product, bell_expansion, coprime_vectors
 
 
 class TestFrequencyVector:
@@ -136,23 +136,6 @@ def exact_vectors(draw):
        exact_vectors())
 def test_expansion_equals_bruteforce_property(eta, x):
     assert monomial_sampler_expansion(eta, x) == monomial_sampler_bruteforce(eta, x)
-
-
-@st.composite
-def coprime_vectors(draw):
-    """Up to five atoms with independent denominators, so that their lcm
-    mixes coprime factors; with dust, without (the rest of the mass becomes
-    one more atom), or pure dust."""
-    raw = draw(st.lists(st.fractions(Fraction(1, 97), Fraction(1, 2),
-                                     max_denominator=97), max_size=5))
-    atoms, mass = [], Fraction(0)
-    for a in raw:
-        if mass + a <= 1:
-            atoms.append(a)
-            mass += a
-    if atoms and mass < 1 and not draw(st.booleans()):
-        atoms.append(1 - mass)
-    return FrequencyVector.of(*atoms)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,9 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neutral_sampler.combinatorics import IntegerPartition, enumerate_partitions
+from neutral_sampler.combinatorics import (
+    IntegerPartition,
+    enumerate_partitions,
+    multinomial_constant,
+)
 from neutral_sampler.moments import esf_monomial_moment, power_sum_moment
-from neutral_sampler.sampling import FrequencyVector, power_sum_product, sampling_probability
+from neutral_sampler.sampling import (
+    FrequencyVector,
+    expansion_of_monomial_sampler,
+    power_sum_product,
+    sampling_probability,
+)
 from neutral_sampler.transient import (
     STATIONARY,
     SpectralEvaluator,
@@ -18,6 +27,7 @@ from neutral_sampler.transient import (
     transient_moment,
     transient_sampling_probability,
 )
+from conftest import coprime_vectors, row_eigen_coefficients, thetas
 
 P2 = IntegerPartition.of(2)
 
@@ -194,3 +204,28 @@ class TestTransientSampling:
         stat = ev.stationary_sampling_probability(eta)
         with mpmath.workprec(256):
             assert values[-1] <= mpmath.mpf(stat.numerator) / stat.denominator
+
+
+ETAS_UP_TO_7 = [eta for n in range(1, 8) for eta in enumerate_partitions(n)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(thetas, coprime_vectors())
+def test_eigen_coefficients_equal_row_oracle(theta, x):
+    ev = SpectralEvaluator(theta)
+    for eta in ETAS_UP_TO_7:
+        f = expansion_of_monomial_sampler(eta)
+        assert ev.eigen_coefficients(f, x) == row_eigen_coefficients(f, x, theta), eta
+
+
+@settings(max_examples=25, deadline=None)
+@given(thetas, coprime_vectors())
+def test_transient_endpoints(theta, x):
+    # t -> 0: the coefficients sum to P_n(eta | x); t -> inf: the stationary
+    # term is the Ewens sampling formula.
+    ev = SpectralEvaluator(theta)
+    for eta in ETAS_UP_TO_7:
+        coeffs = ev._sampler_eigencoeffs(eta, x)
+        assert sum(coeffs.values(), Fraction(0)) == sampling_probability(eta, x), eta
+        assert coeffs.get(0, Fraction(0)) == \
+            multinomial_constant(eta) * esf_monomial_moment(eta, theta), eta
