@@ -43,6 +43,8 @@ def parse_theta_grid(text: str) -> list[Fraction]:
         lo, hi = parse_rational(lo), parse_rational(hi)
         if lo <= 0 or hi <= 0:
             raise ValueError("log grid bounds must be positive, got %r" % text)
+        if lo > hi:
+            raise ValueError("log grid runs from lo to hi, got lo > hi in %r" % text)
         grid = []
         v = lo
         while v <= hi:
@@ -207,14 +209,12 @@ def cmd_ldp_scan(args, cfg):
 
 
 def cmd_verify(args, cfg):
-    check_size(args.max_size, "--max-size", cfg)
-    kwargs = {}
-    if args.suite == "orthogonality":
-        kwargs = {"max_size": args.max_size,
-                  "thetas": (parse_rational(args.theta),)} \
-            if args.theta else {"max_size": args.max_size}
+    if args.max_size is not None:
+        check_size(args.max_size, "--max-size", cfg)
+    theta = parse_rational(args.theta) if args.theta is not None else None
     failures = 0
-    for label, ok, detail in run_suite(args.suite, **kwargs):
+    for label, ok, detail in run_suite(args.suite, max_size=args.max_size,
+                                       theta=theta):
         if not ok:
             failures += 1
             print("FAIL %s: %s" % (label, detail))
@@ -295,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an exact invariant suite")
     p.add_argument("--suite", default="all",
                    choices=sorted(verify.SUITES) + ["all"])
-    p.add_argument("--max-size", type=int, default=6)
-    p.add_argument("--theta")
+    p.add_argument("--max-size", type=int,
+                   help="size bound for every suite run (default: each suite's own)")
+    p.add_argument("--theta", help="theta of the orthogonality suite")
     p.set_defaults(func=cmd_verify)
 
     return parser

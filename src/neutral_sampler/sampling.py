@@ -1,10 +1,13 @@
 """Sampling probabilities p_eta(x) on the closed infinite simplex.
 
-Two independent routes are kept side by side: a brute-force sum over tuples
-of distinct atom indices (exponential, capped) and the alternating
-set-partition expansion in power sums (the continuous extension, with the
-phi_1 == 1 convention), summed by a recursion on the multiset of parts and
-evaluated as one integer sum over a common denominator of the atoms.
+Two independent routes are kept side by side: a brute-force direct sum over
+injective maps from sample slots to atoms, walked once per (slot, set of used
+atoms) state in integers over a common denominator of the atoms (exponential
+in the number of atoms, capped), and the alternating set-partition expansion
+in power sums (the continuous extension, with the phi_1 == 1 convention),
+summed by a recursion on the multiset of parts and evaluated as one integer
+sum over the same common denominator.  The walk shares no code with the
+expansion.
 Singleton sample slots may draw from the dust mass 1 - sum(atoms); each
 dust draw is automatically a fresh type.
 """
@@ -18,7 +21,6 @@ from functools import lru_cache
 from math import lcm
 
 from .combinatorics import (
-    EMPTY,
     IntegerPartition,
     coarsening_weights,
     enumerate_partitions,
@@ -126,11 +128,16 @@ def monomial_sampler_bruteforce(
     max_n: int = DEFAULT_MAX_N,
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Fraction:
-    """p^o_eta(x) summed directly over tuples of distinct atom indices.
+    """p^o_eta(x) summed directly over injective maps from sample slots to
+    atoms.
 
     Parts of size >= 2 must take distinct atoms; each singleton slot takes
     either an unused atom or the dust (reusable: continuous-spectrum draws
-    are distinct types by themselves).  Exponential by design.
+    are distinct types by themselves).  The rest of a walk depends only on
+    (slot, set of used atoms), so each such state is summed once: at most
+    l 2^r r steps for l parts and r atoms.  The sum is over integers: with D
+    the lcm of the atoms' denominators, atom i weighs w_i = a_i D and the
+    dust D - sum w_i, and the result is total / D^|eta|.
     """
     if eta.n > max_n:
         raise CapExceededError("|eta| = %d exceeds cap %d" % (eta.n, max_n))
@@ -138,28 +145,30 @@ def monomial_sampler_bruteforce(
         raise CapExceededError(
             "%d atoms exceed cap %d" % (len(x.atoms), max_atoms)
         )
-    if eta == EMPTY:
-        return Fraction(1)
-    atoms = x.atoms
-    dust = x.dust
+    d = lcm(*(a.denominator for a in x.atoms))
+    weights = [a.numerator * (d // a.denominator) for a in x.atoms]
+    dust = d - sum(weights)
     parts = eta.parts  # nonincreasing, so singleton slots come last
+    powers = {p: [w**p for w in weights] for p in set(parts)}
+    memo: dict[tuple[int, int], int] = {}
 
-    def walk(slot: int, used: int) -> Fraction:
+    def walk(slot: int, used: int) -> int:
         if slot == len(parts):
-            return Fraction(1)
+            return 1
+        key = slot, used
+        if key in memo:
+            return memo[key]
         p = parts[slot]
-        total = Fraction(0)
-        for i, a in enumerate(atoms):
-            if used >> i & 1:
-                continue
-            if a == 0:
-                continue
-            total += a**p * walk(slot + 1, used | (1 << i))
-        if p == 1 and dust > 0:
+        total = 0
+        for i, w in enumerate(powers[p]):
+            if not used >> i & 1:
+                total += w * walk(slot + 1, used | (1 << i))
+        if p == 1 and dust:
             total += dust * walk(slot + 1, used)
+        memo[key] = total
         return total
 
-    return walk(0, 0)
+    return Fraction(walk(0, 0), d**eta.n)
 
 
 # Room for every eta up to n = 16 (915 of them).

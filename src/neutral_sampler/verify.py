@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 from .asymptotics import rate_function
 from .basis import build_basis, inner_product
@@ -32,10 +33,10 @@ def orthogonality_suite(max_size: int = 6, thetas=(Fraction(1, 2), 1, 10)):
                 )
 
 
-def oracle_suite(max_n: int = 6, seed: int = 20260824, vectors: int = 20):
+def oracle_suite(max_size: int = 6, seed: int = 20260824, vectors: int = 20):
     rng = random.Random(seed)
     xs = [random_frequency_vector(rng, max_atoms=8) for _ in range(vectors)]
-    for n in range(1, max_n + 1):
+    for n in range(1, max_size + 1):
         for eta in enumerate_partitions(n):
             for j, x in enumerate(xs):
                 lhs = monomial_sampler_expansion(eta, x)
@@ -47,7 +48,7 @@ def oracle_suite(max_n: int = 6, seed: int = 20260824, vectors: int = 20):
                 )
 
 
-def normalization_suite(max_n: int = 6, seed: int = 20260824):
+def normalization_suite(max_size: int = 6, seed: int = 20260824):
     rng = random.Random(seed)
     xs = [
         FrequencyVector.parse("1/2,1/3,1/6"),
@@ -55,7 +56,7 @@ def normalization_suite(max_n: int = 6, seed: int = 20260824):
         random_frequency_vector(rng, max_atoms=6, with_dust=True),
         FrequencyVector(()),  # pure dust
     ]
-    for n in range(1, max_n + 1):
+    for n in range(1, max_size + 1):
         for x in xs:
             total = sum(
                 (sampling_probability(eta, x) for eta in enumerate_partitions(n)),
@@ -68,20 +69,20 @@ def normalization_suite(max_n: int = 6, seed: int = 20260824):
             )
 
 
-def consistency_suite(max_n: int = 6, seed: int = 20260824):
+def consistency_suite(max_size: int = 6, seed: int = 20260824):
     rng = random.Random(seed)
     xs = [random_frequency_vector(rng, max_atoms=6) for _ in range(4)]
     xs.append(random_frequency_vector(rng, max_atoms=6, with_dust=True))
-    for n in range(2, max_n + 1):
+    for n in range(2, max_size + 1):
         for j, x in enumerate(xs):
             ok, residuals = consistency_check(n, x)
             worst = max(abs(r) for r in residuals.values())
             yield ("consistency n=%d vector#%d" % (n, j), ok, "max residual %s" % worst)
 
 
-def rate_function_suite(max_n: int = 8,
+def rate_function_suite(max_size: int = 8,
                         ks=(Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2), Fraction(7, 4))):
-    for n in range(2, max_n + 1):
+    for n in range(2, max_size + 1):
         for eta in enumerate_partitions(n):
             for k in ks:
                 k = Fraction(k)
@@ -109,22 +110,39 @@ def rate_function_suite(max_n: int = 8,
                     )
 
 
+#: Each suite and its smallest size bound, the least that yields a check.
 SUITES = {
-    "orthogonality": orthogonality_suite,
-    "oracle": oracle_suite,
-    "normalization": normalization_suite,
-    "consistency": consistency_suite,
-    "rate-function": rate_function_suite,
+    "orthogonality": (orthogonality_suite, 2),
+    "oracle": (oracle_suite, 1),
+    "normalization": (normalization_suite, 1),
+    "consistency": (consistency_suite, 2),
+    "rate-function": (rate_function_suite, 2),
 }
 
 
-def run_suite(name: str, **kwargs):
-    """Yield (label, ok, detail) rows for one suite or, with "all", every suite."""
-    if name == "all":
-        for suite in SUITES.values():
-            yield from suite()
-        return
-    if name not in SUITES:
+def run_suite(name: str, max_size: int | None = None, theta=None):
+    """(label, ok, detail) rows for one suite or, with "all", every suite.
+
+    max_size bounds the sizes of every suite run; each keeps its own default
+    when it is None.  theta replaces the thetas of the orthogonality suite,
+    the only one with a theta.  Arguments a suite cannot take raise
+    ValueError before any row is computed.
+    """
+    if name != "all" and name not in SUITES:
         raise KeyError("unknown suite %r; choose from %s or 'all'"
                        % (name, sorted(SUITES)))
-    yield from SUITES[name](**kwargs)
+    names = list(SUITES) if name == "all" else [name]
+    if theta is not None and names != ["orthogonality"]:
+        raise ValueError("theta applies only to the orthogonality suite, not %r"
+                         % name)
+    kwargs = {}
+    if max_size is not None:
+        for suite_name in names:
+            least = SUITES[suite_name][1]
+            if max_size < least:
+                raise ValueError("max size %d is below %d, the least the %s suite "
+                                 "takes" % (max_size, least, suite_name))
+        kwargs["max_size"] = max_size
+    if theta is not None:
+        kwargs["thetas"] = (Fraction(theta),)
+    return chain.from_iterable(SUITES[n][0](**kwargs) for n in names)

@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: partition counts come
 from the Euler recurrence, Bell/Stirling numbers from their triangles,
 set-partition sums list every set partition instead of recursing on the
 multiset of parts, power sums add Fraction powers atom by atom instead of
-summing integers over a common denominator, eigen-coefficients combine the
+summing integers over a common denominator, the brute-force sampler visits
+every tuple of distinct atoms in Fractions instead of summing each (slot, used
+atoms) state once in integers, eigen-coefficients combine the
 rows of the Gram factorization instead of projecting by inner products, and
 expected rationals are recomputed from first principles where frozen.
 """
@@ -92,6 +94,26 @@ def atom_power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fractio
         if p > 1:
             out *= sum((a**p for a in x.atoms), Fraction(0))
     return out
+
+
+def tuple_walk_sampler(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
+    """p^o_eta(x) summed over every tuple of distinct atom indices, one
+    Fraction product per leaf; singleton slots may also draw the dust."""
+    atoms, dust, parts = x.atoms, x.dust, eta.parts
+
+    def walk(slot: int, used: int) -> Fraction:
+        if slot == len(parts):
+            return Fraction(1)
+        p = parts[slot]
+        total = Fraction(0)
+        for i, a in enumerate(atoms):
+            if not used >> i & 1:
+                total += a**p * walk(slot + 1, used | (1 << i))
+        if p == 1 and dust > 0:
+            total += dust * walk(slot + 1, used)
+        return total
+
+    return walk(0, 0)
 
 
 def row_eigen_coefficients(f, x: FrequencyVector, theta) -> dict[int, Fraction]:

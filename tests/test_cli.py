@@ -47,6 +47,13 @@ class TestParsers:
         assert parse_theta_grid("10:1e3:log") == \
             [Fraction(10), Fraction(100), Fraction(1000)]
 
+    def test_grid_log_single_point(self):
+        assert parse_theta_grid("1e5:1e5:log") == [Fraction(10) ** 5]
+
+    def test_grid_log_reversed_rejected(self):
+        with pytest.raises(ValueError, match="lo > hi"):
+            parse_theta_grid("1e8:1e5:log")
+
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "abc", "1/0"])
     def test_rational_rejects_non_finite(self, text):
         with pytest.raises(ValueError):
@@ -150,6 +157,30 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert proc.stdout == ""
 
 
+REFUSED = {
+    "oracle_size_0": ["verify", "--suite", "oracle", "--max-size", "0"],
+    "consistency_size_1": ["verify", "--suite", "consistency", "--max-size", "1"],
+    "all_size_1": ["verify", "--suite", "all", "--max-size", "1"],
+    "theta_without_theta_suite": ["verify", "--suite", "consistency", "--theta", "3"],
+    "theta_with_all": ["verify", "--suite", "all", "--theta", "3"],
+    "reversed_grid_ldp_scan": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
+                               "--theta-grid", "1e8:1e5:log"],
+    "reversed_grid_weak_limit_scan": ["weak-limit-scan", "--omega", "2",
+                                      "--x", "1/2,1/2", "--regime", "proportional:1",
+                                      "--theta-grid", "1e8:1e5:log"],
+    "reversed_grid_lemma41_scan": ["lemma41-scan", "--eta", "3", "--xi", "2",
+                                   "--theta-grid", "1e8:1e5:log"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_request_exits_2_with_one_error_line(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
 OVERSIZED = {
     "moment": ["moment", "--eta", ",".join(["2"] * 12), "--theta", "1"],
     "moment_with_xi": ["moment", "--eta", "2,2,2", "--xi", "3,2", "--theta", "1"],
@@ -218,6 +249,26 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
         assert rc == 1
         assert out.splitlines() == ["FAIL b: 1", "FAIL d: 2"]
+
+    @pytest.mark.parametrize("suite", ["oracle", "all"])
+    def test_max_size_reaches_the_suites(self, capsys, monkeypatch, suite):
+        calls = []
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda name, **kw: calls.append((name, kw)) or iter(()))
+        rc, _, _ = run_cli(capsys, "verify", "--suite", suite, "--max-size", "3")
+        assert rc == 0
+        assert calls == [(suite, {"max_size": 3, "theta": None})]
+
+    def test_without_flags_each_suite_keeps_its_default(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda name, **kw: calls.append((name, kw)) or iter(()))
+        run_cli(capsys, "verify", "--suite", "all")
+        assert calls == [("all", {"max_size": None, "theta": None})]
+
+    def test_all_small_passes(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size", "3")
+        assert rc == 0 and "ok" in out
 
     def test_orthogonality_small(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "orthogonality",

@@ -23,7 +23,12 @@ from neutral_sampler.sampling import (
     random_frequency_vector,
     sampling_probability,
 )
-from conftest import atom_power_sum_product, bell_expansion, coprime_vectors
+from conftest import (
+    atom_power_sum_product,
+    bell_expansion,
+    coprime_vectors,
+    tuple_walk_sampler,
+)
 
 
 class TestFrequencyVector:
@@ -131,11 +136,14 @@ def exact_vectors(draw):
     return FrequencyVector.of(*(Fraction(w, denom) for w in weights))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),
-       exact_vectors())
+       st.one_of(exact_vectors(), coprime_vectors()))
 def test_expansion_equals_bruteforce_property(eta, x):
-    assert monomial_sampler_expansion(eta, x) == monomial_sampler_bruteforce(eta, x)
+    got = monomial_sampler_bruteforce(eta, x)
+    assert type(got) is Fraction
+    assert got == tuple_walk_sampler(eta, x)
+    assert got == monomial_sampler_expansion(eta, x)
 
 
 @settings(max_examples=60, deadline=None)

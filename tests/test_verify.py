@@ -1,0 +1,40 @@
+from fractions import Fraction
+
+import pytest
+
+from neutral_sampler.verify import SUITES, run_suite
+
+
+def test_oracle_suite_runs_580_checks():
+    rows = list(run_suite("oracle"))
+    assert len(rows) == 580
+    assert all(ok for _, ok, _ in rows)
+
+
+def test_max_size_bounds_every_suite():
+    # Every eta of n <= 2 on each of the 20 vectors.
+    assert len(list(run_suite("oracle", max_size=2))) == 3 * 20
+    assert len(list(run_suite("normalization", max_size=1))) == 4
+    assert len(list(run_suite("consistency", max_size=2))) == 5
+    labels = [label for label, _, _ in run_suite("all", max_size=2)]
+    assert not any("n=3" in label for label in labels)
+    for name in SUITES:
+        assert any(label.startswith(name) for label in labels)
+
+
+def test_theta_replaces_orthogonality_thetas():
+    rows = list(run_suite("orthogonality", max_size=3, theta=Fraction(3)))
+    assert rows and all(label.endswith("theta=3") and ok for label, ok, _ in rows)
+
+
+@pytest.mark.parametrize("name,max_size", [("oracle", 0), ("consistency", 1),
+                                           ("orthogonality", 1), ("all", 1)])
+def test_size_a_suite_cannot_take_raises_before_any_row(name, max_size):
+    with pytest.raises(ValueError, match="below"):
+        run_suite(name, max_size=max_size)
+
+
+@pytest.mark.parametrize("name", ["oracle", "consistency", "all"])
+def test_theta_without_a_theta_suite_raises(name):
+    with pytest.raises(ValueError, match="theta"):
+        run_suite(name, theta=Fraction(2))
