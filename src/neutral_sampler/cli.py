@@ -25,6 +25,9 @@ from .verify import run_suite
 
 EXIT_CAP = 3
 
+#: Most points a theta grid may have; a longer grid exits 3.
+MAX_THETA_GRID_POINTS = 64
+
 
 def parse_rational(text: str) -> Fraction:
     """A finite rational such as 1/3, 0.25 or 1e6; inf and nan are rejected."""
@@ -34,8 +37,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError("zero denominator in %r" % text) from None
 
 
+def _check_grid_length(count: int):
+    if count > MAX_THETA_GRID_POINTS:
+        raise CapExceededError("theta grid has more than %d points"
+                               % MAX_THETA_GRID_POINTS)
+
+
 def parse_theta_grid(text: str) -> list[Fraction]:
-    """Either a comma list of thetas or "lo:hi:log" for decade steps."""
+    """Either a comma list of thetas or "lo:hi:log" for decade steps, with
+    at most MAX_THETA_GRID_POINTS points."""
     if ":" in text:
         lo, hi, kind = text.split(":")
         if kind != "log":
@@ -49,9 +59,12 @@ def parse_theta_grid(text: str) -> list[Fraction]:
         v = lo
         while v <= hi:
             grid.append(v)
+            _check_grid_length(len(grid))
             v *= 10
         return grid
-    return [parse_rational(tok) for tok in text.split(",")]
+    tokens = text.split(",")
+    _check_grid_length(len(tokens))
+    return [parse_rational(tok) for tok in tokens]
 
 
 def parse_regime(text: str) -> asymptotics.RegimeSpec:
@@ -78,7 +91,10 @@ def check_size(size: int, what: str, cfg):
 
 
 def emit(payload, rows=None, header=None, fmt="json", out=None):
-    stream = open(out, "w", newline="") if out else sys.stdout
+    try:
+        stream = open(out, "w", newline="") if out else sys.stdout
+    except OSError as exc:
+        raise ValueError("cannot write --out %r: %s" % (out, exc.strerror)) from None
     try:
         if fmt == "csv":
             writer = csv.writer(stream)
@@ -311,6 +327,10 @@ def main(argv=None) -> int:
             "precision_bits": args.precision,
             "output_format": args.output_format,
         })
+    except OSError as exc:
+        print("error: cannot read --config %r: %s" % (args.config, exc.strerror),
+              file=sys.stderr)
+        return EXIT_CAP
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAP

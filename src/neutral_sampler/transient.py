@@ -100,12 +100,20 @@ class SpectralEvaluator:
     ) -> dict[int, Fraction]:
         """Group f = sum c_xi psi_xi by eigenvalue index: returns {m: C_m}
         with C_0 the stationary part, such that
-        E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}."""
-        fmap = {k: v for k, v in f}
-        size = max(label.n for label in fmap)
+        E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}.
+
+        Gram-Schmidt makes psi_j orthogonal to every phi_a before it in the
+        canonical order, so <phi_a, psi_j> = 0 exactly for a before j: each
+        psi_j is projected on the labels of f at or after position j only,
+        and the psi past the last label of f are skipped."""
+        rest = {k: v for k, v in f}
+        size = max(label.n for label in rest)
         out: dict[int, Fraction] = {}
         for psi in build_basis(max(2, size), self.theta):
-            c = inner_product(fmap, psi.coeffs, self.theta) / psi.norm2
+            if not rest:
+                break
+            c = inner_product(rest, psi.coeffs, self.theta) / psi.norm2
+            rest.pop(psi.label, None)
             if c == 0:
                 continue
             m = psi.label.n

@@ -77,6 +77,16 @@ class TestBuildBasis:
         for a, b in itertools.combinations(basis, 2):
             assert inner_product(a.coeffs, b.coeffs, theta) == 0
 
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(37, 4), 10**8])
+    def test_psi_orthogonal_to_every_earlier_phi(self, theta):
+        # The identity that lets eigen_coefficients skip the labels of f
+        # before psi_j: <phi_a, psi_j> = 0 for every a before j.
+        theta = Fraction(theta)
+        basis = build_basis(7, theta)
+        for j, psi in enumerate(basis):
+            for a in basis[:j]:
+                assert inner_product({a.label: Fraction(1)}, psi.coeffs, theta) == 0
+
     def test_norms_positive(self):
         assert all(el.norm2 > 0 for el in build_basis(6, Fraction(1, 2)))
 

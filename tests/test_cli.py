@@ -9,6 +9,7 @@ import pytest
 import neutral_sampler
 from neutral_sampler import cli
 from neutral_sampler.cli import main, parse_rational, parse_regime, parse_theta_grid
+from neutral_sampler.sampling import CapExceededError
 from fractions import Fraction
 
 
@@ -53,6 +54,17 @@ class TestParsers:
     def test_grid_log_reversed_rejected(self):
         with pytest.raises(ValueError, match="lo > hi"):
             parse_theta_grid("1e8:1e5:log")
+
+    def test_grid_at_cap(self):
+        assert len(parse_theta_grid("1:1e63:log")) == cli.MAX_THETA_GRID_POINTS
+        assert len(parse_theta_grid(",".join(["1"] * 64))) == 64
+
+    @pytest.mark.parametrize("text", ["1:1e64:log", ",".join(["1"] * 65),
+                                      "1e-100000:1:log"],
+                             ids=["log", "list", "tiny_lo"])
+    def test_grid_over_cap_rejected(self, text):
+        with pytest.raises(CapExceededError, match="more than 64 points"):
+            parse_theta_grid(text)
 
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "abc", "1/0"])
     def test_rational_rejects_non_finite(self, text):
@@ -204,6 +216,45 @@ def test_oversized_request_exits_3(argv):
     assert proc.stdout == ""
 
 
+OVERSIZED_GRIDS = {
+    "ldp_scan_log": ["ldp-scan", "--n", "8", "--eta", "2,2,2,2", "--k", "1",
+                     "--theta-grid", "1e-300:1e300:log"],
+    "ldp_scan_tiny_lo": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
+                         "--theta-grid", "1e-100000:1:log"],
+    "weak_limit_scan_list": ["weak-limit-scan", "--omega", "2", "--x", "1/2,1/2",
+                             "--regime", "proportional:1",
+                             "--theta-grid", ",".join(["10"] * 65)],
+    "lemma41_scan_log": ["lemma41-scan", "--eta", "3", "--xi", "2",
+                         "--theta-grid", "1:1e64:log"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_GRIDS.values(), ids=OVERSIZED_GRIDS.keys())
+def test_oversized_theta_grid_exits_3(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: theta grid has more than 64 points\n"
+    assert proc.stdout == ""
+
+
+UNWRITABLE_OUT = {
+    "sample_prob": ["sample-prob", "--eta", "2", "--x", "1/2"],
+    "ldp_scan": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "4",
+                 "--theta-grid", "10,100"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUT.values(), ids=UNWRITABLE_OUT.keys())
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_exits_2_with_one_error_line(argv, target, tmp_path):
+    out = tmp_path / "missing" / "f" if target == "missing_dir" else tmp_path
+    proc = run_cli_process(*argv, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write --out ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
 class TestRateFunction:
     def test_json_shape(self, capsys):
         rc, out, _ = run_cli(capsys, "rate-function", "--n", "2",
@@ -300,3 +351,13 @@ class TestConfig:
         rc, _, err = run_cli(capsys, "--config", str(cfg), "moment",
                              "--eta", "2", "--theta", "1")
         assert rc == 3
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_config_exits_3(self, tmp_path, target):
+        cfg = tmp_path / "missing.cfg" if target == "missing" else tmp_path
+        proc = run_cli_process("--config", str(cfg), "sample-prob",
+                               "--eta", "2", "--x", "1/2")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cannot read --config ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
