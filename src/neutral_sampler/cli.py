@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -90,11 +91,27 @@ def check_size(size: int, what: str, cfg):
         raise CapExceededError("%s = %d exceeds max_n = %d" % (what, size, cfg.max_n))
 
 
+def _out_error(out: str, exc: OSError) -> ValueError:
+    return ValueError("cannot write --out %r: %s" % (out, exc.strerror))
+
+
+def check_out(out: str):
+    """Refuse an --out that cannot be opened for writing (exit 2) before any
+    computation runs; a file this check creates is removed again."""
+    created = not os.path.exists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise _out_error(out, exc) from None
+    if created:
+        os.remove(out)
+
+
 def emit(payload, rows=None, header=None, fmt="json", out=None):
     try:
         stream = open(out, "w", newline="") if out else sys.stdout
     except OSError as exc:
-        raise ValueError("cannot write --out %r: %s" % (out, exc.strerror)) from None
+        raise _out_error(out, exc) from None
     try:
         if fmt == "csv":
             writer = csv.writer(stream)
@@ -335,6 +352,8 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAP
     try:
+        if getattr(args, "out", None):
+            check_out(args.out)
         rc = args.func(args, cfg)
     except CapExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)

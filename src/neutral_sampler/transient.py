@@ -1,8 +1,16 @@
 """Finite spectral evaluation of transient moments and sampling probabilities.
 
-Every phi-monomial lies in the span of finitely many eigenfunctions of the
-neutral diffusion, so no series truncation happens: expectations are exact
-rational eigen-coefficients combined with e^{-lambda t} factors at a
+The generator of the neutral diffusion is triangular on power-sum monomials
+(phi_1 == 1):
+
+    L phi_eta = sum_i C(eta_i, 2) phi_{eta_i -> eta_i - 1}
+                + sum_{i<j} eta_i eta_j phi_{eta_i, eta_j -> eta_i + eta_j - 1}
+                - lambda_n phi_eta,
+
+so E_x phi_eta(X_t) = sum_m A_eta[m] e^{-lambda_m t} with finitely many exact
+rational coefficients, found by recursion on the children of eta (Ethier &
+Kurtz 1981; Griffiths 1979).  No series truncation and no orthogonal basis is
+involved; the coefficients are combined with e^{-lambda t} factors at a
 configurable (default 256-bit) float precision.  t = inf is a sentinel that
 drops all exponential terms and returns the exact stationary value.
 """
@@ -16,7 +24,6 @@ from functools import lru_cache
 
 import mpmath
 
-from .basis import build_basis, evaluate_coeff_map, inner_product
 from .combinatorics import EMPTY, IntegerPartition, multinomial_constant
 from .moments import check_theta, esf_monomial_moment, power_sum_moment
 from .sampling import FrequencyVector, expansion_of_monomial_sampler
@@ -24,7 +31,8 @@ from .sampling import FrequencyVector, expansion_of_monomial_sampler
 DEFAULT_PRECISION_BITS = 256
 
 #: Entries per evaluator in each eigen-coefficient cache, one per (label, x):
-#: room for every eta of n <= 9 (96 of them) on two vectors.
+#: room for every eta of n <= 9 (96 of them) on two vectors, and for every
+#: label with parts >= 2 up to size 16 (231 of them) on one vector.
 EIGENCOEFF_CACHE_SIZE = 256
 
 #: Sentinel accepted wherever a time is expected: drop all exponentials.
@@ -53,6 +61,41 @@ def eigenvalue(m: int, theta) -> Fraction:
         raise ValueError("the spectral expansion starts at m = 2, got %r" % (m,))
     theta = check_theta(theta)
     return Fraction(m) * (m - 1 + theta) / 2
+
+
+# One entry per label, shared by every theta: room for every label with
+# parts >= 2 up to size 20 (627 of them).
+@lru_cache(maxsize=1024)
+def generator_children(label: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
+    """(zeta, c) pairs with L phi_label = sum c phi_zeta - lambda_n phi_label.
+
+    A part p coalesces within itself with weight C(p, 2) (p -> p - 1), and
+    two parts p, q merge with weight p q (p, q -> p + q - 1); a part that
+    becomes 1 is dropped since phi_1 == 1.  The weights sum to C(n, 2).
+    """
+    parts = label.parts
+    weights: dict[tuple[int, ...], int] = {}
+
+    def add(rest: tuple[int, ...], new: int, weight: int):
+        key = tuple(sorted(rest + (new,) if new >= 2 else rest, reverse=True))
+        weights[key] = weights.get(key, 0) + weight
+
+    for i, p in enumerate(parts):
+        rest = parts[:i] + parts[i + 1:]
+        add(rest, p - 1, p * (p - 1) // 2)
+        for j in range(i, len(rest)):
+            add(rest[:j] + rest[j + 1:], p + rest[j] - 1, p * rest[j])
+    return tuple((IntegerPartition._trusted(k), w) for k, w in weights.items())
+
+
+def _phi_from_atoms(label: IntegerPartition, x: FrequencyVector) -> Fraction:
+    """phi_label(x), one Fraction power sum of the atoms per part; computed
+    apart from sampling.power_sum_product, so that the t = 0 identity
+    sum_m A[m] = phi_label(x) checks one against the other."""
+    out = Fraction(1)
+    for p in label.parts:
+        out *= sum((a**p for a in x.atoms), Fraction(0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,37 +131,48 @@ class SpectralEvaluator:
         self.precision_bits = check_precision(precision_bits)
         # Per evaluator, since the coefficients depend on theta; bounded,
         # since get_evaluator keeps up to 32 evaluators alive.
-        self._moment_eigencoeffs = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
-            self._moment_eigencoeffs)
-        self._sampler_eigencoeffs = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
-            self._sampler_eigencoeffs)
+        for name in ("_label_coefficients", "_moment_eigencoeffs",
+                     "_sampler_eigencoeffs"):
+            setattr(self, name, lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
+                getattr(self, name)))
 
     # -- exact layer ---------------------------------------------------
+
+    def _label_coefficients(self, label: IntegerPartition,
+                            x: FrequencyVector) -> tuple[Fraction, ...]:
+        """(A[0], ..., A[n]) with E_x phi_label(X_t) = sum_m A[m] e^{-lambda_m t}
+        and lambda_0 = 0; A[1] = 0, since no label has size 1.
+
+        For m < n, A[m] = sum_zeta c A_zeta[m] / (lambda_n - lambda_m) over
+        the generator's children, with lambda_n - lambda_m =
+        (n - m)(n + m - 1 + theta) / 2; at t = 0 the sum is phi_label(x),
+        which fixes A[n]."""
+        n = label.n
+        if n == 0:
+            return (Fraction(1),)
+        out = [Fraction(0)] * (n + 1)
+        for child, c in generator_children(label):
+            for m, a in enumerate(self._label_coefficients(child, x)):
+                if a:
+                    out[m] += c * a
+        for m in range(n):
+            if out[m]:
+                out[m] = 2 * out[m] / ((n - m) * (n + m - 1 + self.theta))
+        out[n] = _phi_from_atoms(label, x) - sum(out[:n])
+        return tuple(out)
 
     def eigen_coefficients(
         self, f: tuple[tuple[IntegerPartition, Fraction], ...], x: FrequencyVector
     ) -> dict[int, Fraction]:
-        """Group f = sum c_xi psi_xi by eigenvalue index: returns {m: C_m}
-        with C_0 the stationary part, such that
-        E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}.
-
-        Gram-Schmidt makes psi_j orthogonal to every phi_a before it in the
-        canonical order, so <phi_a, psi_j> = 0 exactly for a before j: each
-        psi_j is projected on the labels of f at or after position j only,
-        and the psi past the last label of f are skipped."""
-        rest = {k: v for k, v in f}
-        size = max(label.n for label in rest)
+        """Group E_x f(X_t) for f = sum c_xi phi_xi by eigenvalue index:
+        returns {m: C_m} with C_0 the stationary part, such that
+        E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}, with
+        C_m = sum_xi c_xi A_xi[m] and zeros dropped."""
         out: dict[int, Fraction] = {}
-        for psi in build_basis(max(2, size), self.theta):
-            if not rest:
-                break
-            c = inner_product(rest, psi.coeffs, self.theta) / psi.norm2
-            rest.pop(psi.label, None)
-            if c == 0:
-                continue
-            m = psi.label.n
-            value = c if m == 0 else c * evaluate_coeff_map(psi.coeffs, x)
-            out[m] = out.get(m, Fraction(0)) + value
+        for xi, c in f:
+            for m, a in enumerate(self._label_coefficients(xi, x)):
+                if a:
+                    out[m] = out.get(m, Fraction(0)) + c * a
         return {m: v for m, v in out.items() if v != 0}
 
     def _moment_eigencoeffs(self, omega: IntegerPartition, x: FrequencyVector):

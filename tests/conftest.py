@@ -6,9 +6,10 @@ set-partition sums list every set partition instead of recursing on the
 multiset of parts, power sums add Fraction powers atom by atom instead of
 summing integers over a common denominator, the brute-force sampler visits
 every tuple of distinct atoms in Fractions instead of summing each (slot, used
-atoms) state once in integers, eigen-coefficients combine the
-rows of the Gram factorization instead of projecting by inner products, and
-expected rationals are recomputed from first principles where frozen.
+atoms) state once in integers, eigen-coefficients come from the Gram-Schmidt
+basis (by projection with inner products, or from the rows of the Gram
+factorization) instead of the generator recursion, and expected rationals are
+recomputed from first principles where frozen.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import factorial
 import pytest
 from hypothesis import strategies as st
 
-from neutral_sampler.basis import build_basis
+from neutral_sampler.basis import build_basis, evaluate_coeff_map, inner_product
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
 from neutral_sampler.moments import rising_factorial
 from neutral_sampler.sampling import FrequencyVector
@@ -114,6 +115,28 @@ def tuple_walk_sampler(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
         return total
 
     return walk(0, 0)
+
+
+def projection_eigen_coefficients(f, x: FrequencyVector, theta) -> dict[int, Fraction]:
+    """{m: C_m} of f = sum c_xi phi_xi by projecting f on each psi_j.
+
+    Gram-Schmidt makes psi_j orthogonal to every phi_a before it in the
+    canonical order, so each psi_j is projected on the labels of f at or
+    after position j only, and the psi past the last label of f are
+    skipped."""
+    rest = dict(f)
+    out: dict[int, Fraction] = {}
+    for psi in build_basis(max(2, max(xi.n for xi in rest)), theta):
+        if not rest:
+            break
+        c = inner_product(rest, psi.coeffs, theta) / psi.norm2
+        rest.pop(psi.label, None)
+        if c == 0:
+            continue
+        m = psi.label.n
+        value = c if m == 0 else c * evaluate_coeff_map(psi.coeffs, x)
+        out[m] = out.get(m, Fraction(0)) + value
+    return {m: v for m, v in out.items() if v != 0}
 
 
 def row_eigen_coefficients(f, x: FrequencyVector, theta) -> dict[int, Fraction]:

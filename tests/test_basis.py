@@ -79,7 +79,7 @@ class TestBuildBasis:
 
     @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(37, 4), 10**8])
     def test_psi_orthogonal_to_every_earlier_phi(self, theta):
-        # The identity that lets eigen_coefficients skip the labels of f
+        # The identity that lets the projection oracle skip the labels of f
         # before psi_j: <phi_a, psi_j> = 0 for every a before j.
         theta = Fraction(theta)
         basis = build_basis(7, theta)

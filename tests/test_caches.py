@@ -21,7 +21,7 @@ def test_every_cache_is_bounded():
         module = importlib.import_module("neutral_sampler." + info.name)
         caches += _bounds(module, info.name, module.__name__)
     caches += _bounds(SpectralEvaluator(1), "transient.SpectralEvaluator")
-    assert len(caches) >= 11
+    assert len(caches) >= 13
     assert [c for c in caches if c[1] is None] == []
 
 
@@ -35,5 +35,6 @@ def test_eigencoeff_cache_holds_at_most_its_bound():
         seen.add(x)
         ev.sampling_probability(eta, x, 1.0)
         ev.moment(omega, x, 1.0)
-    for cache in (ev._sampler_eigencoeffs, ev._moment_eigencoeffs):
+    for cache in (ev._sampler_eigencoeffs, ev._moment_eigencoeffs,
+                  ev._label_coefficients):
         assert cache.cache_info().currsize == EIGENCOEFF_CACHE_SIZE

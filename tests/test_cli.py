@@ -255,6 +255,31 @@ def test_unwritable_out_exits_2_with_one_error_line(argv, target, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_is_refused_before_computing(target, tmp_path, capsys,
+                                                    monkeypatch):
+    def compute(*args, **kwargs):
+        raise AssertionError("the scan ran before --out was checked")
+
+    monkeypatch.setattr(cli.asymptotics, "ldp_slope_scan", compute)
+    out = tmp_path / "missing" / "f" if target == "missing_dir" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main(["ldp-scan", "--n", "2", "--eta", "2", "--k", "4",
+              "--theta-grid", "1e2:1e8:log", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_writable_out_check_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "f"
+    with pytest.raises(SystemExit) as exc:
+        main(["sample-prob", "--eta", "2", "--x", "not-a-vector", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 class TestRateFunction:
     def test_json_shape(self, capsys):
         rc, out, _ = run_cli(capsys, "rate-function", "--n", "2",

@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neutral_sampler.basis import monomial_labels
 from neutral_sampler.combinatorics import (
+    EMPTY,
     IntegerPartition,
     enumerate_partitions,
     multinomial_constant,
@@ -24,10 +27,16 @@ from neutral_sampler.transient import (
     TimePoint,
     check_time,
     eigenvalue,
+    generator_children,
     transient_moment,
     transient_sampling_probability,
 )
-from conftest import coprime_vectors, row_eigen_coefficients, thetas
+from conftest import (
+    coprime_vectors,
+    projection_eigen_coefficients,
+    row_eigen_coefficients,
+    thetas,
+)
 
 P2 = IntegerPartition.of(2)
 
@@ -215,7 +224,65 @@ def test_eigen_coefficients_equal_row_oracle(theta, x):
     ev = SpectralEvaluator(theta)
     for eta in ETAS_UP_TO_7:
         f = expansion_of_monomial_sampler(eta)
-        assert ev.eigen_coefficients(f, x) == row_eigen_coefficients(f, x, theta), eta
+        got = ev.eigen_coefficients(f, x)
+        assert got == row_eigen_coefficients(f, x, theta), eta
+        assert got == projection_eigen_coefficients(f, x, theta), eta
+
+
+SWEEP_THETAS = [Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(10),
+                Fraction(10**8)]
+#: Three atoms, one atom plus dust, a point mass, pure dust, and four atoms
+#: with coprime denominators plus dust.
+SWEEP_VECTORS = ["1/2,1/3,1/6", "1/2,1/4", "1", "", "2/7,1/5,1/9,1/11"]
+
+
+@pytest.mark.parametrize("x", SWEEP_VECTORS, ids=repr)
+@pytest.mark.parametrize("theta", SWEEP_THETAS, ids=str)
+def test_recursion_equals_both_oracles_up_to_six(theta, x):
+    # Every eta with n <= 6 (sampler coefficients) and every label with
+    # parts >= 2 up to size 6 (moment coefficients), exactly.
+    x = FrequencyVector.parse(x)
+    ev = SpectralEvaluator(theta)
+    for n in range(1, 7):
+        for eta in enumerate_partitions(n):
+            f = expansion_of_monomial_sampler(eta)
+            const = multinomial_constant(eta)
+            for oracle in (projection_eigen_coefficients, row_eigen_coefficients):
+                expected = {m: const * v for m, v in oracle(f, x, theta).items()}
+                assert ev._sampler_eigencoeffs(eta, x) == expected, (eta, oracle)
+    for omega in monomial_labels(6):
+        f = ((omega, Fraction(1)),)
+        for oracle in (projection_eigen_coefficients, row_eigen_coefficients):
+            assert ev._moment_eigencoeffs(omega, x) == oracle(f, x, theta), \
+                (omega, oracle)
+
+
+#: Every label with parts >= 2 up to size 10 (41 of them).
+LABELS_UP_TO_10 = [label for label in monomial_labels(10) if label != EMPTY]
+
+
+class TestGeneratorIdentities:
+    """The recursion against code it never calls, with zero tolerance."""
+
+    def test_children_weights_sum_to_pairs(self):
+        for label in LABELS_UP_TO_10:
+            children = generator_children(label)
+            assert sum(c for _, c in children) == comb(label.n, 2), label
+            for child, c in children:
+                assert c > 0 and label.n - child.n in (1, 2), (label, child)
+                assert child == EMPTY or child.min_part >= 2, (label, child)
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(7, 3), Fraction(10**8)],
+                             ids=str)
+    @pytest.mark.parametrize("x", ["1/2,1/3,1/6", "1/2,1/4", ""], ids=repr)
+    def test_stationary_part_and_t0_sum(self, theta, x):
+        # A[0] is the PD(theta) mean; the coefficients sum to phi_label(x).
+        x = FrequencyVector.parse(x)
+        ev = SpectralEvaluator(theta)
+        for label in LABELS_UP_TO_10:
+            coeffs = ev._label_coefficients(label, x)
+            assert coeffs[0] == power_sum_moment(label, theta), label
+            assert sum(coeffs) == power_sum_product(label, x), label
 
 
 @settings(max_examples=25, deadline=None)
