@@ -10,9 +10,11 @@ The generator of the neutral diffusion is triangular on power-sum monomials
 so E_x phi_eta(X_t) = sum_m A_eta[m] e^{-lambda_m t} with finitely many exact
 rational coefficients, found by recursion on the children of eta (Ethier &
 Kurtz 1981; Griffiths 1979).  No series truncation and no orthogonal basis is
-involved; the coefficients are combined with e^{-lambda t} factors at a
-configurable (default 256-bit) float precision.  t = inf is a sentinel that
-drops all exponential terms and returns the exact stationary value.
+involved.  The float layer works at a configurable (default 256-bit)
+precision: each evaluator converts the coefficients of one (label, x) to mpf
+once, and computes each e^{-lambda_m t} once per (m, t), so a call at a finite
+t is at most n + 1 multiply-adds.  t = inf is a sentinel that drops all
+exponential terms and returns the exact stationary value.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ DEFAULT_PRECISION_BITS = 256
 #: room for every eta of n <= 9 (96 of them) on two vectors, and for every
 #: label with parts >= 2 up to size 16 (231 of them) on one vector.
 EIGENCOEFF_CACHE_SIZE = 256
+
+#: Entries per evaluator in the cache of e^{-lambda_m t}, one per (m, t):
+#: room for m = 2..9 at 64 distinct times.
+DECAY_CACHE_SIZE = 512
 
 #: Sentinel accepted wherever a time is expected: drop all exponentials.
 STATIONARY = math.inf
@@ -129,12 +135,14 @@ class SpectralEvaluator:
     def __init__(self, theta, precision_bits: int = DEFAULT_PRECISION_BITS):
         self.theta = check_theta(theta)
         self.precision_bits = check_precision(precision_bits)
-        # Per evaluator, since the coefficients depend on theta; bounded,
-        # since get_evaluator keeps up to 32 evaluators alive.
+        # Per evaluator, since the coefficients depend on theta and the
+        # floats on the precision; bounded, since get_evaluator keeps up to
+        # 32 evaluators alive.
         for name in ("_label_coefficients", "_moment_eigencoeffs",
-                     "_sampler_eigencoeffs"):
+                     "_sampler_eigencoeffs", "_moment_terms", "_sampler_terms"):
             setattr(self, name, lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
                 getattr(self, name)))
+        self._decay = lru_cache(maxsize=DECAY_CACHE_SIZE)(self._decay)
 
     # -- exact layer ---------------------------------------------------
 
@@ -185,17 +193,32 @@ class SpectralEvaluator:
         const = multinomial_constant(eta)
         return {m: const * v for m, v in coeffs.items()}
 
-    # -- combination with exponentials ---------------------------------
+    # -- float layer ---------------------------------------------------
 
-    def _combine(self, eigen: dict[int, Fraction], t) -> mpmath.mpf:
+    def _mpf_terms(self, eigen: dict[int, Fraction]) -> tuple[tuple[int, mpmath.mpf], ...]:
         with mpmath.workprec(self.precision_bits):
-            tval = _to_mpf(t)
+            return tuple((m, _to_mpf(c)) for m, c in sorted(eigen.items()))
+
+    def _moment_terms(self, omega: IntegerPartition, x: FrequencyVector):
+        return self._mpf_terms(self._moment_eigencoeffs(omega, x))
+
+    def _sampler_terms(self, eta: IntegerPartition, x: FrequencyVector):
+        return self._mpf_terms(self._sampler_eigencoeffs(eta, x))
+
+    def _decay(self, m: int, t) -> mpmath.mpf:
+        """e^{-lambda_m t}.  Equal times of different types (0.5,
+        Fraction(1, 2), mpf(0.5)) share an entry: they convert to the same
+        mpf."""
+        with mpmath.workprec(self.precision_bits):
+            return mpmath.exp(-_to_mpf(eigenvalue(m, self.theta)) * _to_mpf(t))
+
+    def _combine(self, terms: tuple[tuple[int, mpmath.mpf], ...], t) -> mpmath.mpf:
+        """sum_m C_m e^{-lambda_m t} in increasing m, at the evaluator's
+        precision."""
+        with mpmath.workprec(self.precision_bits):
             total = mpmath.mpf(0)
-            for m, c in sorted(eigen.items()):
-                term = _to_mpf(c)
-                if m >= 2:
-                    term *= mpmath.exp(-_to_mpf(eigenvalue(m, self.theta)) * tval)
-                total += term
+            for m, c in terms:
+                total += c * self._decay(m, t) if m >= 2 else c
             return total
 
     # -- public surface ------------------------------------------------
@@ -204,7 +227,7 @@ class SpectralEvaluator:
         """E_x phi_omega(X_t); exact Fraction for the stationary sentinel."""
         if check_time(t) is STATIONARY:
             return power_sum_moment(omega, self.theta)
-        return self._combine(self._moment_eigencoeffs(omega, x), t)
+        return self._combine(self._moment_terms(omega, x), t)
 
     def moment_exact_t0(self, omega: IntegerPartition, x: FrequencyVector) -> Fraction:
         return sum(self._moment_eigencoeffs(omega, x).values(), Fraction(0))
@@ -213,7 +236,7 @@ class SpectralEvaluator:
         """P_n^theta(eta) = E_x p_eta(X_t); exact ESF value at the sentinel."""
         if check_time(t) is STATIONARY:
             return self.stationary_sampling_probability(eta)
-        return self._combine(self._sampler_eigencoeffs(eta, x), t)
+        return self._combine(self._sampler_terms(eta, x), t)
 
     def stationary_sampling_probability(self, eta: IntegerPartition) -> Fraction:
         """The Ewens sampling formula value, exactly."""

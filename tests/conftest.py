@@ -8,8 +8,10 @@ summing integers over a common denominator, the brute-force sampler visits
 every tuple of distinct atoms in Fractions instead of summing each (slot, used
 atoms) state once in integers, eigen-coefficients come from the Gram-Schmidt
 basis (by projection with inner products, or from the rows of the Gram
-factorization) instead of the generator recursion, and expected rationals are
-recomputed from first principles where frozen.
+factorization) instead of the generator recursion, the float combine converts
+every coefficient, eigenvalue and time afresh on each call instead of once per
+evaluator, and expected rationals are recomputed from first principles where
+frozen.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import mpmath
 import pytest
 from hypothesis import strategies as st
 
@@ -156,6 +159,26 @@ def row_eigen_coefficients(f, x: FrequencyVector, theta) -> dict[int, Fraction]:
                      Fraction(0))
         out[m] = out.get(m, Fraction(0)) + c
     return {m: v for m, v in out.items() if v != 0}
+
+
+def direct_combine(eigen: dict[int, Fraction], theta, t, bits: int) -> mpmath.mpf:
+    """sum_m C_m e^{-lambda_m t} at `bits`, in increasing m, with
+    lambda_m = m (m - 1 + theta) / 2: every Fraction, lambda_m and t is
+    converted to mpf and every exponential computed on each call."""
+    def to_mpf(q):
+        if isinstance(q, Fraction):
+            return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+        return mpmath.mpf(q)
+
+    with mpmath.workprec(bits):
+        tval = to_mpf(t)
+        total = mpmath.mpf(0)
+        for m, c in sorted(eigen.items()):
+            term = to_mpf(c)
+            if m >= 2:
+                term *= mpmath.exp(-to_mpf(Fraction(m) * (m - 1 + theta) / 2) * tval)
+            total += term
+        return total
 
 
 #: theta for the properties: small p/q, a non-integer with a larger

@@ -5,7 +5,11 @@ import random
 import neutral_sampler
 from neutral_sampler.combinatorics import IntegerPartition
 from neutral_sampler.sampling import random_frequency_vector
-from neutral_sampler.transient import EIGENCOEFF_CACHE_SIZE, SpectralEvaluator
+from neutral_sampler.transient import (
+    DECAY_CACHE_SIZE,
+    EIGENCOEFF_CACHE_SIZE,
+    SpectralEvaluator,
+)
 
 
 def _bounds(namespace, prefix, module_name=None):
@@ -21,7 +25,7 @@ def test_every_cache_is_bounded():
         module = importlib.import_module("neutral_sampler." + info.name)
         caches += _bounds(module, info.name, module.__name__)
     caches += _bounds(SpectralEvaluator(1), "transient.SpectralEvaluator")
-    assert len(caches) >= 13
+    assert len(caches) >= 16
     assert [c for c in caches if c[1] is None] == []
 
 
@@ -36,5 +40,15 @@ def test_eigencoeff_cache_holds_at_most_its_bound():
         ev.sampling_probability(eta, x, 1.0)
         ev.moment(omega, x, 1.0)
     for cache in (ev._sampler_eigencoeffs, ev._moment_eigencoeffs,
-                  ev._label_coefficients):
+                  ev._label_coefficients, ev._sampler_terms, ev._moment_terms):
         assert cache.cache_info().currsize == EIGENCOEFF_CACHE_SIZE
+
+
+def test_decay_cache_holds_at_most_its_bound():
+    # One (m, t) entry per call for omega = (2), so more distinct times than
+    # the bound fill the cache exactly to it.
+    ev = SpectralEvaluator(1)
+    x = random_frequency_vector(random.Random(7), max_atoms=3, with_dust=True)
+    for i in range(DECAY_CACHE_SIZE + 50):
+        ev.moment(IntegerPartition.of(2), x, i / 64)
+    assert ev._decay.cache_info().currsize == DECAY_CACHE_SIZE

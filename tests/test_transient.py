@@ -33,6 +33,7 @@ from neutral_sampler.transient import (
 )
 from conftest import (
     coprime_vectors,
+    direct_combine,
     projection_eigen_coefficients,
     row_eigen_coefficients,
     thetas,
@@ -227,6 +228,40 @@ def test_eigen_coefficients_equal_row_oracle(theta, x):
         got = ev.eigen_coefficients(f, x)
         assert got == row_eigen_coefficients(f, x, theta), eta
         assert got == projection_eigen_coefficients(f, x, theta), eta
+
+
+@st.composite
+def finite_times(draw):
+    """0, a float, a Fraction, an mpf with more bits than any evaluator, and
+    the float again as a Fraction and as an mpf, which equal it."""
+    f = draw(st.floats(0, 10))
+    q = draw(st.fractions(0, 10, max_denominator=10**6))
+    r = draw(st.fractions(0, 10, max_denominator=10**9))
+    with mpmath.workprec(600):
+        fine = mpmath.mpf(r.numerator) / r.denominator
+    return [0, f, q, fine, Fraction(f), mpmath.mpf(f)]
+
+
+#: Every label with parts >= 2 up to size 7, the empty one included.
+MOMENT_LABELS_UP_TO_7 = list(monomial_labels(7))
+
+
+@settings(max_examples=12, deadline=None)
+@given(thetas, coprime_vectors(), st.sampled_from((64, 256, 512)), finite_times(),
+       st.data())
+def test_combine_equals_direct_oracle_bit_for_bit(theta, x, bits, times, data):
+    # The cached mpf coefficients and decay factors give the same mpf as
+    # converting everything afresh; each time list runs twice, in shuffled
+    # orders, so cache state cannot change a value.
+    ev = SpectralEvaluator(theta, bits)
+    for _ in range(2):
+        for t in data.draw(st.permutations(times)):
+            for eta in ETAS_UP_TO_7:
+                expected = direct_combine(ev._sampler_eigencoeffs(eta, x), theta, t, bits)
+                assert ev.sampling_probability(eta, x, t) == expected, (eta, t)
+            for omega in MOMENT_LABELS_UP_TO_7:
+                expected = direct_combine(ev._moment_eigencoeffs(omega, x), theta, t, bits)
+                assert ev.moment(omega, x, t) == expected, (omega, t)
 
 
 SWEEP_THETAS = [Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(10),
