@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Callable, Optional
 
@@ -24,6 +25,19 @@ from .transient import DEFAULT_PRECISION_BITS, _to_mpf, get_evaluator
 K_INFINITE = math.inf
 #: k value meaning the sub-logarithmic regime (speed theta * t(theta)).
 K_SUBLOG = Fraction(0)
+
+
+#: Entries in the cache of log(theta), one per (theta, precision): room for
+#: a 64-point theta grid at two precisions.
+LOG_THETA_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=LOG_THETA_CACHE_SIZE)
+def _log_theta(theta: Fraction, precision_bits: int) -> mpmath.mpf:
+    """log(theta) at `precision_bits`, shared by RegimeSpec.time_at and the
+    speed of ldp_slope_scan."""
+    with mpmath.workprec(precision_bits):
+        return mpmath.log(_to_mpf(theta))
 
 
 class ClassificationError(ValueError):
@@ -73,12 +87,13 @@ class RegimeSpec:
             if self.kind is RegimeKind.PROPORTIONAL:
                 return _to_mpf(self.parameter) / th
             if self.kind is RegimeKind.LOGARITHMIC:
-                return _to_mpf(self.parameter) * mpmath.log(th) / th
+                return _to_mpf(self.parameter) * _log_theta(theta, precision_bits) / th
             if self.kind is RegimeKind.SUBLOG:
                 # Default concrete family: log(theta) / (theta loglog(theta)).
                 if theta <= math.e:
                     raise ValueError("sublog family needs theta > e")
-                return mpmath.log(th) / (th * mpmath.log(mpmath.log(th)))
+                log_theta = _log_theta(theta, precision_bits)
+                return log_theta / (th * mpmath.log(log_theta))
             return mpmath.mpf(self.t_func(theta))
 
     def theta_t_limit(self):
@@ -294,7 +309,7 @@ def ldp_slope_scan(
             if regime.kind is RegimeKind.SUBLOG:
                 speed = _to_mpf(theta) * t
             else:
-                speed = mpmath.log(_to_mpf(theta))
+                speed = _log_theta(theta, precision_bits)
             s = -mpmath.log(p) / speed
             err = abs(s - _to_mpf(target.value))
         rows.append(SlopeScanRow(theta, p, s, err, False))

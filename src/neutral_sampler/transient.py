@@ -10,11 +10,22 @@ The generator of the neutral diffusion is triangular on power-sum monomials
 so E_x phi_eta(X_t) = sum_m A_eta[m] e^{-lambda_m t} with finitely many exact
 rational coefficients, found by recursion on the children of eta (Ethier &
 Kurtz 1981; Griffiths 1979).  No series truncation and no orthogonal basis is
-involved.  The float layer works at a configurable (default 256-bit)
-precision: each evaluator converts the coefficients of one (label, x) to mpf
-once, and computes each e^{-lambda_m t} once per (m, t), so a call at a finite
-t is at most n + 1 multiply-adds.  t = inf is a sentinel that drops all
-exponential terms and returns the exact stationary value.
+involved.
+
+The exact layer runs the recursion in integers, the way the t = 0 layer sums
+over D^n.  Write theta = p/q and d(u, m) = (u - m)(q(u + m - 1) + p), so that
+lambda_u - lambda_m = d(u, m) / (2q); let L_u = prod_{m in {0, 2, ..., u-1}}
+d(u, m) and H_n = L_2 ... L_n.  With D the lcm of the atoms' denominators,
+every A_xi[m] with |xi| = n is an integer N_xi[m] over D^n H_n.  A sampler or
+moment sums the numerators of its labels over one common denominator and
+builds one Fraction per m.  The numerators depend on theta and x only, so
+one bounded exact layer per theta serves the evaluators of every precision.
+
+The float layer works at a configurable (default 256-bit) precision: each
+evaluator converts the coefficients of one (label, x) to mpf once, and
+computes each lambda_m once and each e^{-lambda_m t} once per (m, t), so a
+call at a finite t is at most n + 1 multiply-adds.  t = inf is a sentinel
+that drops all exponential terms and returns the exact stationary value.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import mpmath
 
@@ -32,14 +44,23 @@ from .sampling import FrequencyVector, expansion_of_monomial_sampler
 
 DEFAULT_PRECISION_BITS = 256
 
-#: Entries per evaluator in each eigen-coefficient cache, one per (label, x):
-#: room for every eta of n <= 9 (96 of them) on two vectors, and for every
-#: label with parts >= 2 up to size 16 (231 of them) on one vector.
+#: Entries per evaluator in each eigen-coefficient cache, and per exact layer
+#: in the cache of integer numerators, one per (label, x): room for every eta
+#: of n <= 9 (96 of them) on two vectors, and for every label with parts >= 2
+#: up to size 16 (231 of them) on one vector.
 EIGENCOEFF_CACHE_SIZE = 256
 
 #: Entries per evaluator in the cache of e^{-lambda_m t}, one per (m, t):
 #: room for m = 2..9 at 64 distinct times.
 DECAY_CACHE_SIZE = 512
+
+#: Entries per evaluator in the cache of lambda_m as an mpf, and per exact
+#: layer in the cache of (L_n, H_n, ...), one per m or n.
+LEVEL_CACHE_SIZE = 64
+
+#: Exact layers kept, one per theta: as many as get_evaluator keeps
+#: evaluators.
+EXACT_LAYER_CACHE_SIZE = 32
 
 #: Sentinel accepted wherever a time is expected: drop all exponentials.
 STATIONARY = math.inf
@@ -94,14 +115,76 @@ def generator_children(label: IntegerPartition) -> tuple[tuple[IntegerPartition,
     return tuple((IntegerPartition._trusted(k), w) for k, w in weights.items())
 
 
-def _phi_from_atoms(label: IntegerPartition, x: FrequencyVector) -> Fraction:
-    """phi_label(x), one Fraction power sum of the atoms per part; computed
-    apart from sampling.power_sum_product, so that the t = 0 identity
-    sum_m A[m] = phi_label(x) checks one against the other."""
-    out = Fraction(1)
-    for p in label.parts:
-        out *= sum((a**p for a in x.atoms), Fraction(0))
-    return out
+# One entry per vector: room for the vectors of many thetas' scans.
+@lru_cache(maxsize=256)
+def _atom_table(x: FrequencyVector) -> tuple[int, tuple[int, ...]]:
+    """(D, (a_i D)_i): the lcm D of the atoms' denominators and each atom
+    scaled to an integer, so phi_p(x) = W_p / D^p with W_p = sum_i (a_i D)^p.
+    Built here apart from sampling's power-sum table, so that the t = 0
+    identity sum_m A[m] = phi_label(x) checks one against the other."""
+    d = lcm(*(a.denominator for a in x.atoms))
+    return d, tuple(a.numerator * (d // a.denominator) for a in x.atoms)
+
+
+class ExactLayer:
+    """The integer eigen-coefficients of one theta = p/q, shared by the
+    evaluators of every precision."""
+
+    def __init__(self, theta: Fraction):
+        self.theta = theta
+        self.label_numerators = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
+            self.label_numerators)
+        self.level = lru_cache(maxsize=LEVEL_CACHE_SIZE)(self.level)
+
+    def level(self, n: int) -> tuple[int, int, tuple[int, ...]]:
+        """(L_n, H_n, (2q L_n / d(n, m))_{m < n}), with the factor 0 at
+        m = 1, which is no eigenvalue index; L_u = H_u = 1 for u < 2."""
+        if n < 2:
+            return 1, 1, (0,) * n
+        p, q = self.theta.numerator, self.theta.denominator
+        gaps = [(n - m) * (q * (n + m - 1) + p) if m != 1 else 0 for m in range(n)]
+        l_n = math.prod(g for g in gaps if g)
+        factors = tuple(2 * q * l_n // g if g else 0 for g in gaps)
+        return l_n, self.level(n - 1)[1] * l_n, factors
+
+    def denominator(self, n: int, d: int) -> int:
+        """D^n H_n, the common denominator of the labels of size n."""
+        return d**n * self.level(n)[1]
+
+    def label_numerators(self, label: IntegerPartition,
+                         table: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+        """(N[0], ..., N[n]) with A_label[m] = N[m] / (D^n H_n) at the vector
+        of the atom table (D, weights).
+
+        A child of size s contributes c D^{n-s} (H_{n-1} / H_s) N_child[m]
+        to the sum that 2q L_n / d(n, m) turns into N[m] for m < n; at
+        t = 0 the A[m] sum to phi_label(x) = prod_p W_p / D^n, which fixes
+        N[n] = H_n prod_p W_p - sum_{m<n} N[m]."""
+        n = label.n
+        if n == 0:
+            return (1,)
+        d, weights = table
+        near, far = [0] * n, [0] * n  # children of size n - 1 and n - 2
+        for child, c in generator_children(label):
+            acc = near if child.n == n - 1 else far
+            for m, a in enumerate(self.label_numerators(child, table)):
+                if a:
+                    acc[m] += c * a
+        _, h_n, factors = self.level(n)
+        far_scale = d * self.level(n - 1)[0]
+        out = [f * d * (a + far_scale * b) if f else 0
+               for f, a, b in zip(factors, near, far)]
+        top = h_n
+        for p in label.parts:
+            top *= sum(w**p for w in weights)
+        out.append(top - sum(out))
+        return tuple(out)
+
+
+@lru_cache(maxsize=EXACT_LAYER_CACHE_SIZE)
+def _exact_layer(theta: Fraction) -> ExactLayer:
+    """The shared exact layer of one theta."""
+    return ExactLayer(theta)
 
 
 @dataclass(frozen=True)
@@ -135,14 +218,17 @@ class SpectralEvaluator:
     def __init__(self, theta, precision_bits: int = DEFAULT_PRECISION_BITS):
         self.theta = check_theta(theta)
         self.precision_bits = check_precision(precision_bits)
-        # Per evaluator, since the coefficients depend on theta and the
-        # floats on the precision; bounded, since get_evaluator keeps up to
-        # 32 evaluators alive.
-        for name in ("_label_coefficients", "_moment_eigencoeffs",
-                     "_sampler_eigencoeffs", "_moment_terms", "_sampler_terms"):
+        # The integer numerators depend on theta alone, so the evaluators of
+        # every precision share them.
+        self._exact = _exact_layer(self.theta)
+        # Per evaluator, since the floats depend on the precision; bounded,
+        # since get_evaluator keeps up to 32 evaluators alive.
+        for name in ("_moment_eigencoeffs", "_sampler_eigencoeffs",
+                     "_moment_terms", "_sampler_terms"):
             setattr(self, name, lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
                 getattr(self, name)))
         self._decay = lru_cache(maxsize=DECAY_CACHE_SIZE)(self._decay)
+        self._rate = lru_cache(maxsize=LEVEL_CACHE_SIZE)(self._rate)
 
     # -- exact layer ---------------------------------------------------
 
@@ -151,23 +237,12 @@ class SpectralEvaluator:
         """(A[0], ..., A[n]) with E_x phi_label(X_t) = sum_m A[m] e^{-lambda_m t}
         and lambda_0 = 0; A[1] = 0, since no label has size 1.
 
-        For m < n, A[m] = sum_zeta c A_zeta[m] / (lambda_n - lambda_m) over
-        the generator's children, with lambda_n - lambda_m =
-        (n - m)(n + m - 1 + theta) / 2; at t = 0 the sum is phi_label(x),
-        which fixes A[n]."""
-        n = label.n
-        if n == 0:
-            return (Fraction(1),)
-        out = [Fraction(0)] * (n + 1)
-        for child, c in generator_children(label):
-            for m, a in enumerate(self._label_coefficients(child, x)):
-                if a:
-                    out[m] += c * a
-        for m in range(n):
-            if out[m]:
-                out[m] = 2 * out[m] / ((n - m) * (n + m - 1 + self.theta))
-        out[n] = _phi_from_atoms(label, x) - sum(out[:n])
-        return tuple(out)
+        The Fraction view of the shared integer numerators N[m] over
+        D^n H_n; the evaluator itself combines numerators in integers."""
+        table = _atom_table(x)
+        den = self._exact.denominator(label.n, table[0])
+        return tuple(Fraction(a, den)
+                     for a in self._exact.label_numerators(label, table))
 
     def eigen_coefficients(
         self, f: tuple[tuple[IntegerPartition, Fraction], ...], x: FrequencyVector
@@ -175,13 +250,32 @@ class SpectralEvaluator:
         """Group E_x f(X_t) for f = sum c_xi phi_xi by eigenvalue index:
         returns {m: C_m} with C_0 the stationary part, such that
         E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}, with
-        C_m = sum_xi c_xi A_xi[m] and zeros dropped."""
-        out: dict[int, Fraction] = {}
+        C_m = sum_xi c_xi A_xi[m] and zeros dropped.
+
+        The numerators of each label size s are summed first, then scaled by
+        D^{top-s} H_top / H_s to the common denominator of the largest label;
+        one Fraction per m divides by it."""
+        exact = self._exact
+        table = _atom_table(x)
+        d = table[0]
+        den = lcm(*(c.denominator for _, c in f))
+        by_size: dict[int, list[int]] = {}
         for xi, c in f:
-            for m, a in enumerate(self._label_coefficients(xi, x)):
+            acc = by_size.setdefault(xi.n, [0] * (xi.n + 1))
+            weight = c.numerator * (den // c.denominator)
+            for m, a in enumerate(exact.label_numerators(xi, table)):
                 if a:
-                    out[m] = out.get(m, Fraction(0)) + c * a
-        return {m: v for m, v in out.items() if v != 0}
+                    acc[m] += weight * a
+        top = max(by_size, default=0)
+        totals = [0] * (top + 1)
+        scale = 1
+        for s in range(top, min(by_size, default=0) - 1, -1):
+            for m, a in enumerate(by_size.get(s, ())):
+                if a:
+                    totals[m] += scale * a
+            scale *= d * exact.level(s)[0]
+        common = den * exact.denominator(top, d)
+        return {m: Fraction(v, common) for m, v in enumerate(totals) if v}
 
     def _moment_eigencoeffs(self, omega: IntegerPartition, x: FrequencyVector):
         if omega != EMPTY and omega.min_part < 2:
@@ -189,9 +283,9 @@ class SpectralEvaluator:
         return self.eigen_coefficients(((omega, Fraction(1)),), x)
 
     def _sampler_eigencoeffs(self, eta: IntegerPartition, x: FrequencyVector):
-        coeffs = self.eigen_coefficients(expansion_of_monomial_sampler(eta), x)
         const = multinomial_constant(eta)
-        return {m: const * v for m, v in coeffs.items()}
+        return self.eigen_coefficients(
+            tuple((xi, const * c) for xi, c in expansion_of_monomial_sampler(eta)), x)
 
     # -- float layer ---------------------------------------------------
 
@@ -205,12 +299,17 @@ class SpectralEvaluator:
     def _sampler_terms(self, eta: IntegerPartition, x: FrequencyVector):
         return self._mpf_terms(self._sampler_eigencoeffs(eta, x))
 
+    def _rate(self, m: int) -> mpmath.mpf:
+        """lambda_m at the evaluator's precision."""
+        with mpmath.workprec(self.precision_bits):
+            return _to_mpf(eigenvalue(m, self.theta))
+
     def _decay(self, m: int, t) -> mpmath.mpf:
         """e^{-lambda_m t}.  Equal times of different types (0.5,
         Fraction(1, 2), mpf(0.5)) share an entry: they convert to the same
         mpf."""
         with mpmath.workprec(self.precision_bits):
-            return mpmath.exp(-_to_mpf(eigenvalue(m, self.theta)) * _to_mpf(t))
+            return mpmath.exp(-self._rate(m) * _to_mpf(t))
 
     def _combine(self, terms: tuple[tuple[int, mpmath.mpf], ...], t) -> mpmath.mpf:
         """sum_m C_m e^{-lambda_m t} in increasing m, at the evaluator's

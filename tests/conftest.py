@@ -8,7 +8,9 @@ summing integers over a common denominator, the brute-force sampler visits
 every tuple of distinct atoms in Fractions instead of summing each (slot, used
 atoms) state once in integers, eigen-coefficients come from the Gram-Schmidt
 basis (by projection with inner products, or from the rows of the Gram
-factorization) instead of the generator recursion, the float combine converts
+factorization) instead of the generator recursion, the generator recursion
+itself also runs in Fractions, dividing at every level, instead of in integers
+over one common denominator, the float combine converts
 every coefficient, eigenvalue and time afresh on each call instead of once per
 evaluator, and expected rationals are recomputed from first principles where
 frozen.
@@ -28,6 +30,7 @@ from neutral_sampler.basis import build_basis, evaluate_coeff_map, inner_product
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
 from neutral_sampler.moments import rising_factorial
 from neutral_sampler.sampling import FrequencyVector
+from neutral_sampler.transient import generator_children
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +162,29 @@ def row_eigen_coefficients(f, x: FrequencyVector, theta) -> dict[int, Fraction]:
                      Fraction(0))
         out[m] = out.get(m, Fraction(0)) + c
     return {m: v for m, v in out.items() if v != 0}
+
+
+@lru_cache(maxsize=4096)
+def fraction_label_coefficients(label: IntegerPartition, x: FrequencyVector,
+                                theta: Fraction) -> tuple[Fraction, ...]:
+    """(A[0], ..., A[n]) with E_x phi_label(X_t) = sum_m A[m] e^{-lambda_m t},
+    by the generator recursion in Fractions: for m < n,
+    A[m] = sum_zeta c A_zeta[m] / (lambda_n - lambda_m) over the children,
+    with lambda_n - lambda_m = (n - m)(n + m - 1 + theta) / 2, and A[n] makes
+    the coefficients sum to phi_label(x), taken atom by atom."""
+    n = label.n
+    if n == 0:
+        return (Fraction(1),)
+    out = [Fraction(0)] * (n + 1)
+    for child, c in generator_children(label):
+        for m, a in enumerate(fraction_label_coefficients(child, x, theta)):
+            if a:
+                out[m] += c * a
+    for m in range(n):
+        if out[m]:
+            out[m] = 2 * out[m] / ((n - m) * (n + m - 1 + theta))
+    out[n] = atom_power_sum_product(label, x) - sum(out[:n])
+    return tuple(out)
 
 
 def direct_combine(eigen: dict[int, Fraction], theta, t, bits: int) -> mpmath.mpf:

@@ -24,8 +24,10 @@ def test_every_cache_is_bounded():
     for info in pkgutil.iter_modules(neutral_sampler.__path__):
         module = importlib.import_module("neutral_sampler." + info.name)
         caches += _bounds(module, info.name, module.__name__)
-    caches += _bounds(SpectralEvaluator(1), "transient.SpectralEvaluator")
-    assert len(caches) >= 16
+    ev = SpectralEvaluator(1)
+    caches += _bounds(ev, "transient.SpectralEvaluator")
+    caches += _bounds(ev._exact, "transient.ExactLayer")
+    assert len(caches) >= 21
     assert [c for c in caches if c[1] is None] == []
 
 
@@ -40,7 +42,7 @@ def test_eigencoeff_cache_holds_at_most_its_bound():
         ev.sampling_probability(eta, x, 1.0)
         ev.moment(omega, x, 1.0)
     for cache in (ev._sampler_eigencoeffs, ev._moment_eigencoeffs,
-                  ev._label_coefficients, ev._sampler_terms, ev._moment_terms):
+                  ev._exact.label_numerators, ev._sampler_terms, ev._moment_terms):
         assert cache.cache_info().currsize == EIGENCOEFF_CACHE_SIZE
 
 

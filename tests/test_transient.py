@@ -28,12 +28,14 @@ from neutral_sampler.transient import (
     check_time,
     eigenvalue,
     generator_children,
+    get_evaluator,
     transient_moment,
     transient_sampling_probability,
 )
 from conftest import (
     coprime_vectors,
     direct_combine,
+    fraction_label_coefficients,
     projection_eigen_coefficients,
     row_eigen_coefficients,
     thetas,
@@ -318,6 +320,52 @@ class TestGeneratorIdentities:
             coeffs = ev._label_coefficients(label, x)
             assert coeffs[0] == power_sum_moment(label, theta), label
             assert sum(coeffs) == power_sum_product(label, x), label
+
+
+@settings(max_examples=20, deadline=None)
+@given(thetas, coprime_vectors())
+def test_integer_engine_equals_fraction_recursion(theta, x):
+    # The integer numerators over D^n H_n give the same Fractions as the
+    # recursion that divides by lambda_n - lambda_m at every level.
+    ev = SpectralEvaluator(theta)
+    for label in LABELS_UP_TO_10:
+        assert ev._label_coefficients(label, x) == \
+            fraction_label_coefficients(label, x, theta), label
+
+
+#: Every label with parts >= 2 up to size 12 (76 of them).
+LABELS_UP_TO_12 = [label for label in monomial_labels(12) if label != EMPTY]
+
+
+@pytest.mark.parametrize("theta", [Fraction(37, 4), Fraction(10**8)], ids=str)
+def test_integer_engine_equals_fraction_recursion_up_to_twelve(theta):
+    x = FrequencyVector.parse("2/7,1/5,1/9,1/11")
+    ev = SpectralEvaluator(theta)
+    for label in LABELS_UP_TO_12:
+        assert ev._label_coefficients(label, x) == \
+            fraction_label_coefficients(label, x, theta), label
+
+
+def test_precisions_share_one_exact_layer():
+    # The first evaluator builds every (label, x) its samplers reach; the
+    # other precisions only hit, and each still equals the direct combine
+    # of the same Fractions at its own precision.
+    theta, x, t = Fraction(1013, 29), FrequencyVector.parse("2/7,1/5,1/9,1/11"), 0.5
+    evs = [get_evaluator(theta, bits) for bits in (64, 256, 512)]
+    layer = evs[0]._exact
+    assert all(ev._exact is layer for ev in evs)
+    misses = []
+    for ev in evs:
+        for eta in ETAS_UP_TO_7:
+            ev.sampling_probability(eta, x, t)
+        misses.append(layer.label_numerators.cache_info().misses)
+    assert misses == [len(MOMENT_LABELS_UP_TO_7)] * 3
+    for eta in ETAS_UP_TO_7:
+        coeffs = evs[0]._sampler_eigencoeffs(eta, x)
+        for ev in evs:
+            assert ev._sampler_eigencoeffs(eta, x) == coeffs, eta
+            assert ev.sampling_probability(eta, x, t) == \
+                direct_combine(coeffs, theta, t, ev.precision_bits), eta
 
 
 @settings(max_examples=25, deadline=None)
