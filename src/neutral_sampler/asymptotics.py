@@ -1,6 +1,6 @@
-"""Small-time weak limits, leading-order inner-product estimates and the
-large-deviation rate functions with their phase transition, together with
-the scan machinery that confronts predictions with exact finite-theta values.
+"""Small-time weak limits and leading-order inner-product estimates,
+together with the scan machinery that confronts these predictions and the
+rate functions of `rates` with exact finite-theta values.
 """
 
 from __future__ import annotations
@@ -18,14 +18,9 @@ import mpmath
 from .basis import basis_element, inner_product
 from .combinatorics import EMPTY, IntegerPartition
 from .moments import check_theta, power_sum_moment
+from .rates import K_SUBLOG, rate_function
 from .sampling import FrequencyVector, power_sum_product
 from .transient import DEFAULT_PRECISION_BITS, _to_mpf, get_evaluator
-
-#: k value meaning "theta t / log theta -> infinity" (still log-theta speed).
-K_INFINITE = math.inf
-#: k value meaning the sub-logarithmic regime (speed theta * t(theta)).
-K_SUBLOG = Fraction(0)
-
 
 #: Entries in the cache of log(theta), one per (theta, precision): room for
 #: a 64-point theta grid at two precisions.
@@ -122,11 +117,6 @@ class LimitPoint:
             return exact
         with mpmath.workprec(precision_bits):
             return _to_mpf(exact) * mpmath.exp(_to_mpf(self.log_scale) * omega.n)
-
-    def atoms(self, precision_bits: int = DEFAULT_PRECISION_BITS):
-        with mpmath.workprec(precision_bits):
-            scale = mpmath.exp(_to_mpf(self.log_scale))
-            return tuple(_to_mpf(a) * scale for a in self.base.atoms)
 
 
 def weak_limit_point(x: FrequencyVector, regime: RegimeSpec) -> LimitPoint:
@@ -236,43 +226,6 @@ def lemma41_constant_ratio(eta: IntegerPartition, xi: Optional[IntegerPartition]
     """Exact value divided by the predicted leading term (reported, not asserted
     for nonempty xi: the normalization of the printed recursion is ambiguous)."""
     return exact_inner(eta, xi, theta) / lemma41_leading_term(eta, xi, theta)
-
-
-SPEED_LOG_THETA = "logθ"
-SPEED_THETA_T = "θ·t(θ)"
-
-
-@dataclass(frozen=True)
-class RateFunctionResult:
-    speed: str
-    value: Fraction
-
-
-def rate_function(n: int, eta: IntegerPartition, k) -> RateFunctionResult:
-    """Rate function of the transient sampling LDP at time scale k log(theta)/theta.
-
-    k = K_SUBLOG (0) selects the sub-logarithmic regime with speed theta*t;
-    k = inf (or any k >= 2) gives I = n - l.
-    """
-    if eta.n != n:
-        raise ValueError("|eta| = %d does not match n = %d" % (eta.n, n))
-    n_minus_l = Fraction(n - eta.l)
-    n_minus_a1 = Fraction(n - eta.alpha_1)
-    if isinstance(k, float) and math.isinf(k):
-        return RateFunctionResult(SPEED_LOG_THETA, n_minus_l)
-    k = Fraction(k)
-    if k < 0:
-        raise ValueError("k must be >= 0, got %s" % (k,))
-    if k == K_SUBLOG:
-        return RateFunctionResult(SPEED_THETA_T, n_minus_a1 / 2)
-    if eta.alpha_1 == eta.l:  # eta = (1,...,1)
-        return RateFunctionResult(SPEED_LOG_THETA, Fraction(0))
-    if k >= 2:
-        return RateFunctionResult(SPEED_LOG_THETA, n_minus_l)
-    density = n_minus_a1 / (eta.l - eta.alpha_1)
-    if density > Fraction(2, 1) / (2 - k):
-        return RateFunctionResult(SPEED_LOG_THETA, n_minus_a1 * k / 2)
-    return RateFunctionResult(SPEED_LOG_THETA, n_minus_l)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,10 @@ import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
-from . import asymptotics, verify
-from .basis import build_basis
+from . import verify
 from .combinatorics import IntegerPartition
 from .config import load_config
 from .sampling import CapExceededError, FrequencyVector, sampling_probability
-from .transient import get_evaluator
 from .verify import run_suite
 
 EXIT_CAP = 3
@@ -68,18 +64,20 @@ def parse_theta_grid(text: str) -> list[Fraction]:
     return [parse_rational(tok) for tok in tokens]
 
 
-def parse_regime(text: str) -> asymptotics.RegimeSpec:
+def parse_regime(text: str):
+    from .asymptotics import RegimeSpec
     kind, _, param = text.partition(":")
     if kind == "proportional":
-        return asymptotics.RegimeSpec.proportional(parse_rational(param))
+        return RegimeSpec.proportional(parse_rational(param))
     if kind == "logarithmic":
-        return asymptotics.RegimeSpec.logarithmic(parse_rational(param))
+        return RegimeSpec.logarithmic(parse_rational(param))
     if kind == "sublog":
-        return asymptotics.RegimeSpec.sublog()
+        return RegimeSpec.sublog()
     raise ValueError("unknown regime %r (proportional:C, logarithmic:K, sublog)" % text)
 
 
 def fmt_float(value, precision_bits: int) -> str:
+    import mpmath
     if isinstance(value, Fraction):
         value = mpmath.mpf(value.numerator) / value.denominator
     return mpmath.nstr(value, int(precision_bits * 0.30103) + 2)
@@ -151,6 +149,7 @@ def cmd_moment(args, cfg):
 
 
 def cmd_basis(args, cfg):
+    from .basis import build_basis
     theta = parse_rational(args.theta)
     check_size(args.max_size, "--max-size", cfg)
     basis = build_basis(args.max_size, theta)
@@ -158,6 +157,8 @@ def cmd_basis(args, cfg):
 
 
 def cmd_transient(args, cfg):
+    import mpmath
+    from .transient import get_evaluator
     eta = IntegerPartition.parse(args.eta)
     x = FrequencyVector.parse(args.x)
     theta = parse_rational(args.theta)
@@ -177,12 +178,13 @@ def cmd_transient(args, cfg):
 
 
 def cmd_weak_limit_scan(args, cfg):
+    from .asymptotics import moment_limit_scan
     omega = IntegerPartition.parse(args.omega)
     x = FrequencyVector.parse(args.x)
     regime = parse_regime(args.regime)
     prec = cfg.precision_bits
     check_size(omega.n, "|omega|", cfg)
-    rows = asymptotics.moment_limit_scan(
+    rows = moment_limit_scan(
         omega, x, regime, parse_theta_grid(args.theta_grid), prec)
     table = [[str(r.theta), fmt_float(r.computed, prec),
               fmt_float(r.predicted, prec), fmt_float(r.error, prec)]
@@ -194,15 +196,16 @@ def cmd_weak_limit_scan(args, cfg):
 
 
 def cmd_lemma41_scan(args, cfg):
+    from .asymptotics import lemma41_constant_ratio, lemma41_order_scan
     eta = IntegerPartition.parse(args.eta)
     xi = IntegerPartition.parse(args.xi) if args.xi is not None else None
     grid = parse_theta_grid(args.theta_grid)
     check_size(eta.n + (xi.n if xi is not None else 0), "|eta| + |xi|", cfg)
     pairs = [(th, 2 * th) for th in grid]
-    rows = asymptotics.lemma41_order_scan(eta, xi, pairs)
+    rows = lemma41_order_scan(eta, xi, pairs)
     table = []
     for row in rows:
-        ratio = asymptotics.lemma41_constant_ratio(eta, xi, row.theta)
+        ratio = lemma41_constant_ratio(eta, xi, row.theta)
         table.append([str(row.theta), "%.6f" % row.measured_exponent,
                       "%.6f" % float(ratio)])
     emit([dict(zip(("theta", "measured_exponent", "constant_ratio"), row))
@@ -212,20 +215,23 @@ def cmd_lemma41_scan(args, cfg):
 
 
 def cmd_rate_function(args, cfg):
+    from .rates import rate_function
     eta = IntegerPartition.parse(args.eta)
     k = math.inf if args.k == "inf" else parse_rational(args.k)
-    result = asymptotics.rate_function(args.n, eta, k)
+    result = rate_function(args.n, eta, k)
     emit({"speed": result.speed, "I": str(result.value)}, fmt="json", out=args.out)
 
 
 def cmd_ldp_scan(args, cfg):
+    from .asymptotics import ldp_slope_scan
+    from .rates import rate_function
     eta = IntegerPartition.parse(args.eta)
     x = FrequencyVector.parse(args.x)
     k = parse_rational(args.k)
     prec = args.precision or 512
     check_size(args.n, "n", cfg)
-    target = asymptotics.rate_function(args.n, eta, k)
-    rows = asymptotics.ldp_slope_scan(
+    target = rate_function(args.n, eta, k)
+    rows = ldp_slope_scan(
         args.n, eta, k, parse_theta_grid(args.theta_grid), x, prec)
     table = []
     for r in rows:

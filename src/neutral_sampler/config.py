@@ -6,9 +6,17 @@ import os
 from dataclasses import dataclass
 
 from .sampling import DEFAULT_MAX_N
-from .transient import DEFAULT_PRECISION_BITS, check_precision
 
 PRECISION_ENV_VAR = "NEUTRAL_SAMPLER_PRECISION"
+
+#: Working precision of the float layer unless a run configures another.
+DEFAULT_PRECISION_BITS = 256
+
+
+def check_precision(bits: int) -> int:
+    if bits < 64:
+        raise ValueError("precision_bits must be >= 64, got %d" % bits)
+    return bits
 
 
 @dataclass

@@ -1,0 +1,51 @@
+"""Large-deviation rate functions of the transient sampling formula with
+their phase transition, in exact arithmetic (no float layer is imported)."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .combinatorics import IntegerPartition
+
+#: k value meaning "theta t / log theta -> infinity" (still log-theta speed).
+K_INFINITE = math.inf
+#: k value meaning the sub-logarithmic regime (speed theta * t(theta)).
+K_SUBLOG = Fraction(0)
+
+SPEED_LOG_THETA = "logθ"
+SPEED_THETA_T = "θ·t(θ)"
+
+
+@dataclass(frozen=True)
+class RateFunctionResult:
+    speed: str
+    value: Fraction
+
+
+def rate_function(n: int, eta: IntegerPartition, k) -> RateFunctionResult:
+    """Rate function of the transient sampling LDP at time scale k log(theta)/theta.
+
+    k = K_SUBLOG (0) selects the sub-logarithmic regime with speed theta*t;
+    k = inf (or any k >= 2) gives I = n - l.
+    """
+    if eta.n != n:
+        raise ValueError("|eta| = %d does not match n = %d" % (eta.n, n))
+    n_minus_l = Fraction(n - eta.l)
+    n_minus_a1 = Fraction(n - eta.alpha_1)
+    if isinstance(k, float) and math.isinf(k):
+        return RateFunctionResult(SPEED_LOG_THETA, n_minus_l)
+    k = Fraction(k)
+    if k < 0:
+        raise ValueError("k must be >= 0, got %s" % (k,))
+    if k == K_SUBLOG:
+        return RateFunctionResult(SPEED_THETA_T, n_minus_a1 / 2)
+    if eta.alpha_1 == eta.l:  # eta = (1,...,1)
+        return RateFunctionResult(SPEED_LOG_THETA, Fraction(0))
+    if k >= 2:
+        return RateFunctionResult(SPEED_LOG_THETA, n_minus_l)
+    density = n_minus_a1 / (eta.l - eta.alpha_1)
+    if density > Fraction(2, 1) / (2 - k):
+        return RateFunctionResult(SPEED_LOG_THETA, n_minus_a1 * k / 2)
+    return RateFunctionResult(SPEED_LOG_THETA, n_minus_l)

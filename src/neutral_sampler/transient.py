@@ -39,10 +39,9 @@ from math import lcm
 import mpmath
 
 from .combinatorics import EMPTY, IntegerPartition, multinomial_constant
+from .config import DEFAULT_PRECISION_BITS, check_precision
 from .moments import check_theta, esf_monomial_moment, power_sum_moment
 from .sampling import FrequencyVector, expansion_of_monomial_sampler
-
-DEFAULT_PRECISION_BITS = 256
 
 #: Entries per evaluator in each eigen-coefficient cache, and per exact layer
 #: in the cache of integer numerators, one per (label, x): room for every eta
@@ -74,12 +73,6 @@ def check_time(t):
     if not t >= 0:  # also catches NaN
         raise ValueError("t must be >= 0 or inf, got %r" % (t,))
     return t
-
-
-def check_precision(bits: int) -> int:
-    if bits < 64:
-        raise ValueError("precision_bits must be >= 64, got %d" % bits)
-    return bits
 
 
 def eigenvalue(m: int, theta) -> Fraction:

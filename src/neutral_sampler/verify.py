@@ -7,9 +7,9 @@ import random
 from fractions import Fraction
 from itertools import chain
 
-from .asymptotics import rate_function
 from .basis import build_basis, inner_product
 from .combinatorics import IntegerPartition, enumerate_partitions
+from .rates import rate_function
 from .sampling import (
     FrequencyVector,
     consistency_check,

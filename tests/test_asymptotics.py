@@ -5,24 +5,25 @@ import mpmath
 import pytest
 
 from neutral_sampler.asymptotics import (
-    K_INFINITE,
-    K_SUBLOG,
     ClassificationError,
-    LimitPoint,
     RegimeKind,
     RegimeSpec,
-    SPEED_LOG_THETA,
-    SPEED_THETA_T,
     exact_inner,
     ldp_slope_scan,
     lemma41_constant_ratio,
     lemma41_leading_term,
     lemma41_order_scan,
     moment_limit_scan,
-    rate_function,
     weak_limit_point,
 )
 from neutral_sampler.combinatorics import EMPTY, IntegerPartition, enumerate_partitions
+from neutral_sampler.rates import (
+    K_INFINITE,
+    K_SUBLOG,
+    SPEED_LOG_THETA,
+    SPEED_THETA_T,
+    rate_function,
+)
 from neutral_sampler.sampling import FrequencyVector, power_sum_product
 
 P2 = IntegerPartition.of(2)
@@ -94,13 +95,6 @@ class TestWeakLimitPoint:
         lp = weak_limit_point(x_full, spec)
         assert lp.base == x_full and lp.log_scale == 0
         assert lp.moment(P2) == power_sum_product(P2, x_full)
-
-    def test_atoms_are_scaled(self, x_full):
-        lp = LimitPoint(x_full, Fraction(-1, 2))
-        with mpmath.workprec(128):
-            scale = mpmath.exp(mpmath.mpf(-1) / 2)
-            got = lp.atoms(128)
-            assert abs(got[0] - scale / 2) < mpmath.mpf(2) ** -100
 
 
 class TestMomentLimitScan:

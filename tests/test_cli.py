@@ -261,7 +261,7 @@ def test_unwritable_out_is_refused_before_computing(target, tmp_path, capsys,
     def compute(*args, **kwargs):
         raise AssertionError("the scan ran before --out was checked")
 
-    monkeypatch.setattr(cli.asymptotics, "ldp_slope_scan", compute)
+    monkeypatch.setattr("neutral_sampler.asymptotics.ldp_slope_scan", compute)
     out = tmp_path / "missing" / "f" if target == "missing_dir" else tmp_path
     with pytest.raises(SystemExit) as exc:
         main(["ldp-scan", "--n", "2", "--eta", "2", "--k", "4",

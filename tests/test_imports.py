@@ -1,0 +1,133 @@
+"""What importing the package and running each command loads: the exact
+commands never import mpmath or the float layer, and the package resolves
+its public names on first access."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import neutral_sampler
+
+FLOAT_MODULES = ("mpmath", "neutral_sampler.transient", "neutral_sampler.asymptotics")
+
+#: Every name the package re-exports, with the module that defines it.
+EXPORTS = {
+    "EMPTY": "combinatorics",
+    "IntegerPartition": "combinatorics",
+    "SetPartition": "combinatorics",
+    "enumerate_partitions": "combinatorics",
+    "enumerate_set_partitions": "combinatorics",
+    "multinomial_constant": "combinatorics",
+    "partition_order": "combinatorics",
+    "esf_monomial_moment": "moments",
+    "mixed_power_sum_moment": "moments",
+    "power_sum_moment": "moments",
+    "rising_factorial": "moments",
+    "BasisElement": "basis",
+    "build_basis": "basis",
+    "evaluate_basis_element": "basis",
+    "inner_product": "basis",
+    "normalized_element": "basis",
+    "FrequencyVector": "sampling",
+    "consistency_check": "sampling",
+    "monomial_sampler_bruteforce": "sampling",
+    "monomial_sampler_expansion": "sampling",
+    "power_sum": "sampling",
+    "sampling_probability": "sampling",
+    "STATIONARY": "transient",
+    "SpectralEvaluator": "transient",
+    "TimePoint": "transient",
+    "eigenvalue": "transient",
+    "transient_moment": "transient",
+    "transient_sampling_probability": "transient",
+    "RateFunctionResult": "rates",
+    "rate_function": "rates",
+    "RegimeSpec": "asymptotics",
+    "ldp_slope_scan": "asymptotics",
+    "lemma41_leading_term": "asymptotics",
+    "lemma41_order_scan": "asymptotics",
+    "moment_limit_scan": "asymptotics",
+    "weak_limit_point": "asymptotics",
+}
+
+#: Runs `cli.main` on the arguments and reports, on stderr, its exit code
+#: and which of the package's modules and mpmath it left loaded.
+_RUN_MAIN = """
+import json, sys
+from neutral_sampler import cli
+rc = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules
+                if m == "mpmath" or m.split(".")[0] == "neutral_sampler")
+print(json.dumps({"rc": rc, "loaded": loaded}), file=sys.stderr)
+"""
+
+
+def _fresh(code, *argv):
+    src = os.path.dirname(os.path.dirname(neutral_sampler.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def _modules_after(*argv):
+    report = _fresh(_RUN_MAIN, *argv)
+    assert report["rc"] == 0
+    return set(report["loaded"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample-prob", "--eta", "2,1", "--x", "1/2,1/3"),
+    ("moment", "--eta", "2", "--xi", "2", "--theta", "1/2"),
+    ("basis", "--max-size", "3", "--theta", "1"),
+    ("rate-function", "--n", "5", "--eta", "2,2,1", "--k", "1/2"),
+    ("verify", "--suite", "oracle", "--max-size", "3"),
+    ("verify", "--suite", "rate-function", "--max-size", "3"),
+], ids=lambda argv: " ".join(argv[:3]))
+def test_exact_commands_skip_the_float_layer(argv):
+    loaded = _modules_after(*argv)
+    assert "neutral_sampler.cli" in loaded
+    assert loaded.isdisjoint(FLOAT_MODULES)
+
+
+def test_transient_command_loads_mpmath():
+    loaded = _modules_after("transient", "--eta", "2,1", "--x", "1/2,1/3",
+                            "--theta", "1", "--t", "0.5")
+    assert {"mpmath", "neutral_sampler.transient"} <= loaded
+
+
+def test_bare_import_loads_no_submodule():
+    report = _fresh("import json, sys, neutral_sampler\n"
+                    "print(json.dumps([m for m in sys.modules "
+                    "if m.startswith('neutral_sampler.') or m == 'mpmath']), "
+                    "file=sys.stderr)")
+    assert report == []
+
+
+def test_all_lists_the_re_exported_names():
+    assert sorted(neutral_sampler.__all__) == sorted(EXPORTS)
+    assert set(EXPORTS) <= set(dir(neutral_sampler))
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_name_resolves_to_the_defining_modules_object(name):
+    module = importlib.import_module("neutral_sampler." + EXPORTS[name])
+    assert getattr(neutral_sampler, name) is getattr(module, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        neutral_sampler.no_such_name
+    assert not hasattr(neutral_sampler, "rate_function_of")
+
+
+def test_submodules_stay_importable_from_the_package():
+    from neutral_sampler import asymptotics, rates
+    assert asymptotics.__name__ == "neutral_sampler.asymptotics"
+    assert rates.rate_function is neutral_sampler.rate_function
