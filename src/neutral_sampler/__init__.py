@@ -18,16 +18,13 @@ _MODULE_OF = {
     "enumerate_partitions": "combinatorics",
     "enumerate_set_partitions": "combinatorics",
     "multinomial_constant": "combinatorics",
-    "partition_order": "combinatorics",
     "esf_monomial_moment": "moments",
     "mixed_power_sum_moment": "moments",
     "power_sum_moment": "moments",
     "rising_factorial": "moments",
     "BasisElement": "basis",
     "build_basis": "basis",
-    "evaluate_basis_element": "basis",
     "inner_product": "basis",
-    "normalized_element": "basis",
     "FrequencyVector": "sampling",
     "consistency_check": "sampling",
     "monomial_sampler_bruteforce": "sampling",

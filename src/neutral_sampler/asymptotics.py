@@ -11,7 +11,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Optional
+from typing import Optional
 
 import mpmath
 
@@ -35,15 +35,10 @@ def _log_theta(theta: Fraction, precision_bits: int) -> mpmath.mpf:
         return mpmath.log(_to_mpf(theta))
 
 
-class ClassificationError(ValueError):
-    """The time-scale family cannot be classified by its theta*t limit."""
-
-
 class RegimeKind(Enum):
     PROPORTIONAL = "proportional"  # t = c / theta
     LOGARITHMIC = "logarithmic"    # t = k log(theta) / theta
     SUBLOG = "sublog"              # theta t -> inf, theta t / log theta -> 0
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -52,16 +47,12 @@ class RegimeSpec:
 
     kind: RegimeKind
     parameter: Optional[Fraction] = None
-    t_func: Optional[Callable] = None
-    custom_theta_t_limit: Optional[object] = None
 
     def __post_init__(self):
         if self.kind in (RegimeKind.PROPORTIONAL, RegimeKind.LOGARITHMIC):
             if self.parameter is None or Fraction(self.parameter) <= 0:
                 raise ValueError("%s regime needs a positive parameter" % self.kind.value)
             object.__setattr__(self, "parameter", Fraction(self.parameter))
-        if self.kind is RegimeKind.CUSTOM and self.t_func is None:
-            raise ValueError("custom regime needs a t(theta) function")
 
     @classmethod
     def proportional(cls, c) -> "RegimeSpec":
@@ -83,23 +74,18 @@ class RegimeSpec:
                 return _to_mpf(self.parameter) / th
             if self.kind is RegimeKind.LOGARITHMIC:
                 return _to_mpf(self.parameter) * _log_theta(theta, precision_bits) / th
-            if self.kind is RegimeKind.SUBLOG:
-                # Default concrete family: log(theta) / (theta loglog(theta)).
-                if theta <= math.e:
-                    raise ValueError("sublog family needs theta > e")
-                log_theta = _log_theta(theta, precision_bits)
-                return log_theta / (th * mpmath.log(log_theta))
-            return mpmath.mpf(self.t_func(theta))
+            # Sublog: the concrete family log(theta) / (theta loglog(theta)).
+            if theta <= math.e:
+                raise ValueError("sublog family needs theta > e")
+            log_theta = _log_theta(theta, precision_bits)
+            return log_theta / (th * mpmath.log(log_theta))
 
     def theta_t_limit(self):
-        """lim theta t(theta): a positive Fraction, 0 or math.inf."""
+        """lim theta t(theta): the positive parameter c of t = c / theta,
+        else math.inf."""
         if self.kind is RegimeKind.PROPORTIONAL:
             return self.parameter
-        if self.kind in (RegimeKind.LOGARITHMIC, RegimeKind.SUBLOG):
-            return math.inf
-        if self.custom_theta_t_limit is None:
-            raise ClassificationError("custom regime with undeclared theta*t limit")
-        return self.custom_theta_t_limit
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -122,11 +108,9 @@ class LimitPoint:
 def weak_limit_point(x: FrequencyVector, regime: RegimeSpec) -> LimitPoint:
     """The weak-limit point of the diffusion started at x under the regime."""
     limit = regime.theta_t_limit()
-    if isinstance(limit, float) and math.isinf(limit):
+    if limit == math.inf:
         return LimitPoint(FrequencyVector(()))  # pure dust
-    if limit == 0:
-        return LimitPoint(x)
-    return LimitPoint(x, log_scale=-Fraction(limit) / 2)
+    return LimitPoint(x, log_scale=-limit / 2)
 
 
 @dataclass(frozen=True)
@@ -165,16 +149,20 @@ def _prefactorials(eta: IntegerPartition) -> int:
     return out
 
 
+def _check_min_part(label: IntegerPartition, name: str):
+    """Lemma 4.1 labels have every part >= 2, since phi_1 == 1."""
+    if label.min_part < 2:
+        raise ValueError("%s needs parts >= 2, got %s" % (name, label))
+
+
 def lemma41_leading_term(eta: IntegerPartition, xi: Optional[IntegerPartition],
                          theta) -> Fraction:
     """Predicted leading order of <phi_eta, 1> (xi empty) or <phi_eta, psi_xi>."""
     theta = check_theta(theta)
-    if eta.min_part < 2:
-        raise ValueError("eta needs parts >= 2, got %s" % (eta,))
+    _check_min_part(eta, "eta")
     if xi is None or xi == EMPTY:
         return Fraction(_prefactorials(eta)) * theta ** -(eta.n - eta.l)
-    if xi.min_part < 2:
-        raise ValueError("xi needs parts >= 2, got %s" % (xi,))
+    _check_min_part(xi, "xi")
     bracket = Fraction(0)
     for a in eta.parts:
         for b in xi.parts:
@@ -191,6 +179,7 @@ def exact_inner(eta: IntegerPartition, xi: Optional[IntegerPartition],
     theta = check_theta(theta)
     if xi is None or xi == EMPTY:
         return power_sum_moment(eta, theta)
+    _check_min_part(xi, "xi")
     psi = basis_element(xi.n, theta, xi)
     return inner_product({eta: Fraction(1)}, psi.coeffs, theta)
 

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from .combinatorics import EMPTY, IntegerPartition, enumerate_partitions_min2
 from .moments import check_theta, mixed_power_sum_moment
-from .sampling import FrequencyVector, scaled_monomials
 
 CoeffMap = dict[IntegerPartition, Fraction]
 
@@ -119,20 +118,3 @@ def basis_element(max_size: int, theta, label: IntegerPartition) -> BasisElement
             return el
     raise KeyError("no basis element labelled %s up to size %d" % (label, max_size))
 
-
-def evaluate_coeff_map(coeffs: CoeffMap, x: FrequencyVector) -> Fraction:
-    """sum_xi c_xi phi_xi(x), every term from one power-sum table of x."""
-    denom, scaled = scaled_monomials(x, max((xi.n for xi in coeffs), default=0))
-    return sum((c * scaled(xi) for xi, c in coeffs.items()), Fraction(0)) / denom
-
-
-def evaluate_basis_element(psi: BasisElement, x: FrequencyVector) -> Fraction:
-    return evaluate_coeff_map(psi.coeffs, x)
-
-
-def normalized_element(psi: BasisElement) -> tuple[CoeffMap, Fraction]:
-    """(coefficients of psi, squared norm); consumers divide by norm2 where
-    the normalized element appears quadratically."""
-    if psi.norm2 <= 0:
-        raise DegenerateBasisError("degenerate element %s" % (psi.label,))
-    return dict(psi.coeffs), psi.norm2

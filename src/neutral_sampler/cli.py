@@ -17,21 +17,18 @@ from fractions import Fraction
 from . import verify
 from .combinatorics import IntegerPartition
 from .config import load_config
-from .sampling import CapExceededError, FrequencyVector, sampling_probability
+from .sampling import (
+    CapExceededError,
+    FrequencyVector,
+    parse_rational,
+    sampling_probability,
+)
 from .verify import run_suite
 
 EXIT_CAP = 3
 
 #: Most points a theta grid may have; a longer grid exits 3.
 MAX_THETA_GRID_POINTS = 64
-
-
-def parse_rational(text: str) -> Fraction:
-    """A finite rational such as 1/3, 0.25 or 1e6; inf and nan are rejected."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text) from None
 
 
 def _check_grid_length(count: int):
@@ -165,7 +162,11 @@ def cmd_transient(args, cfg):
     prec = cfg.precision_bits
     check_size(eta.n, "|eta|", cfg)
     ev = get_evaluator(theta, prec)
-    value = ev.sampling_probability(eta, x, mpmath.mpf(args.t))
+    try:
+        t = mpmath.mpf(args.t)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % args.t) from None
+    value = ev.sampling_probability(eta, x, t)
     emit({
         "eta": eta.to_json(),
         "theta": str(theta),

@@ -46,13 +46,6 @@ class IntegerPartition:
         return cls(tuple(sorted(parts, reverse=True)))
 
     @classmethod
-    def from_alpha(cls, alpha) -> "IntegerPartition":
-        parts = []
-        for size, count in enumerate(alpha, start=1):
-            parts.extend([size] * count)
-        return cls(tuple(sorted(parts, reverse=True)))
-
-    @classmethod
     def parse(cls, text: str) -> "IntegerPartition":
         """Parse a comma-separated part list, e.g. "2,2,1"; "" is empty."""
         text = text.strip()
@@ -118,12 +111,6 @@ class IntegerPartition:
 
 
 EMPTY = IntegerPartition(())
-
-
-def partition_order(a: IntegerPartition, b: IntegerPartition) -> int:
-    """Total order on partitions; returns -1, 0 or 1."""
-    ka, kb = a.sort_key(), b.sort_key()
-    return (ka > kb) - (ka < kb)
 
 
 @dataclass(frozen=True)

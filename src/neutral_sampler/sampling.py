@@ -35,6 +35,14 @@ class CapExceededError(ValueError):
     """The brute-force oracle was asked for more than its configured caps."""
 
 
+def parse_rational(text: str) -> Fraction:
+    """A finite rational such as 1/3, 0.25 or 1e6; inf and nan are rejected."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 @dataclass(frozen=True)
 class FrequencyVector:
     """Finitely many ranked atoms plus a dust mass making up total mass 1."""
@@ -64,7 +72,7 @@ class FrequencyVector:
         text = text.strip()
         if not text:
             return cls(())
-        return cls.of(*(Fraction(tok) for tok in text.split(",")))
+        return cls.of(*(parse_rational(tok) for tok in text.split(",")))
 
     @property
     def dust(self) -> Fraction:
@@ -93,22 +101,6 @@ def _power_sum_table(x: FrequencyVector, k_max: int) -> tuple[int, list[int]]:
     return d, sums
 
 
-def scaled_monomials(x: FrequencyVector, n: int):
-    """(D^n, scaled) with scaled(xi) = phi_xi(x) D^n, an integer, for every
-    label xi with |xi| <= n; one power-sum table serves every label."""
-    d, sums = _power_sum_table(x, n)
-    d_powers = [1]
-    for _ in range(n):
-        d_powers.append(d_powers[-1] * d)
-
-    def scaled(xi: IntegerPartition) -> int:
-        value = d_powers[n - xi.n]
-        for p in xi.parts:
-            value *= sums[p]
-        return value
-    return d_powers[n], scaled
-
-
 def power_sum(k: int, x: FrequencyVector) -> Fraction:
     """phi_k(x) = sum_i atoms_i^k for k >= 2; phi_1 == 1 by convention."""
     if k < 1:
@@ -118,8 +110,11 @@ def power_sum(k: int, x: FrequencyVector) -> Fraction:
 
 def power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
     """phi_eta(x) = prod_j phi_{eta_j}(x), as one fraction over D^|eta|."""
-    denom, scaled = scaled_monomials(x, eta.n)
-    return Fraction(scaled(eta), denom)
+    d, sums = _power_sum_table(x, eta.n)
+    value = 1
+    for p in eta.parts:
+        value *= sums[p]
+    return Fraction(value, d**eta.n)
 
 
 def monomial_sampler_bruteforce(

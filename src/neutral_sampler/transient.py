@@ -43,7 +43,8 @@ from .config import DEFAULT_PRECISION_BITS, check_precision
 from .moments import check_theta, esf_monomial_moment, power_sum_moment
 from .sampling import FrequencyVector, expansion_of_monomial_sampler
 
-#: Entries per evaluator in each eigen-coefficient cache, and per exact layer
+#: Entries per evaluator in each cache of mpf eigen-coefficients (moments and
+#: samplers), and per exact layer
 #: in the cache of integer numerators, one per (label, x): room for every eta
 #: of n <= 9 (96 of them) on two vectors, and for every label with parts >= 2
 #: up to size 16 (231 of them) on one vector.
@@ -193,10 +194,6 @@ class TimePoint:
         check_precision(self.precision_bits)
         object.__setattr__(self, "t", check_time(self.t))
 
-    @property
-    def is_stationary(self) -> bool:
-        return self.t is STATIONARY
-
 
 def _to_mpf(q) -> mpmath.mpf:
     if isinstance(q, Fraction):
@@ -216,8 +213,7 @@ class SpectralEvaluator:
         self._exact = _exact_layer(self.theta)
         # Per evaluator, since the floats depend on the precision; bounded,
         # since get_evaluator keeps up to 32 evaluators alive.
-        for name in ("_moment_eigencoeffs", "_sampler_eigencoeffs",
-                     "_moment_terms", "_sampler_terms"):
+        for name in ("_moment_terms", "_sampler_terms"):
             setattr(self, name, lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
                 getattr(self, name)))
         self._decay = lru_cache(maxsize=DECAY_CACHE_SIZE)(self._decay)
@@ -320,9 +316,6 @@ class SpectralEvaluator:
         if check_time(t) is STATIONARY:
             return power_sum_moment(omega, self.theta)
         return self._combine(self._moment_terms(omega, x), t)
-
-    def moment_exact_t0(self, omega: IntegerPartition, x: FrequencyVector) -> Fraction:
-        return sum(self._moment_eigencoeffs(omega, x).values(), Fraction(0))
 
     def sampling_probability(self, eta: IntegerPartition, x: FrequencyVector, t):
         """P_n^theta(eta) = E_x p_eta(X_t); exact ESF value at the sentinel."""

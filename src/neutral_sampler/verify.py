@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .basis import build_basis, inner_product
-from .combinatorics import IntegerPartition, enumerate_partitions
+from .combinatorics import enumerate_partitions
 from .rates import rate_function
 from .sampling import (
     FrequencyVector,

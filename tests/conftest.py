@@ -26,10 +26,10 @@ import mpmath
 import pytest
 from hypothesis import strategies as st
 
-from neutral_sampler.basis import build_basis, evaluate_coeff_map, inner_product
+from neutral_sampler.basis import build_basis, inner_product
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
 from neutral_sampler.moments import rising_factorial
-from neutral_sampler.sampling import FrequencyVector
+from neutral_sampler.sampling import FrequencyVector, _power_sum_table
 from neutral_sampler.transient import generator_children
 
 
@@ -121,6 +121,19 @@ def tuple_walk_sampler(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
         return total
 
     return walk(0, 0)
+
+
+def evaluate_coeff_map(coeffs, x: FrequencyVector) -> Fraction:
+    """sum_xi c_xi phi_xi(x), every term from one power-sum table of x."""
+    n = max((xi.n for xi in coeffs), default=0)
+    d, sums = _power_sum_table(x, n)
+    total = Fraction(0)
+    for xi, c in coeffs.items():
+        value = d ** (n - xi.n)
+        for p in xi.parts:
+            value *= sums[p]
+        total += c * value
+    return total / d**n
 
 
 def projection_eigen_coefficients(f, x: FrequencyVector, theta) -> dict[int, Fraction]:

@@ -5,8 +5,6 @@ import mpmath
 import pytest
 
 from neutral_sampler.asymptotics import (
-    ClassificationError,
-    RegimeKind,
     RegimeSpec,
     exact_inner,
     ldp_slope_scan,
@@ -60,15 +58,6 @@ class TestRegimeSpec:
         with pytest.raises(ValueError):
             RegimeSpec.logarithmic(-1)
 
-    def test_custom_needs_function(self):
-        with pytest.raises(ValueError):
-            RegimeSpec(RegimeKind.CUSTOM)
-
-    def test_custom_without_limit_unclassifiable(self):
-        spec = RegimeSpec(RegimeKind.CUSTOM, t_func=lambda th: 1 / th)
-        with pytest.raises(ClassificationError):
-            spec.theta_t_limit()
-
 
 class TestWeakLimitPoint:
     def test_logarithmic_gives_pure_dust(self, x_full):
@@ -88,13 +77,6 @@ class TestWeakLimitPoint:
             exact = power_sum_product(P2, x_full)
             want = mpmath.exp(-1) * mpmath.mpf(exact.numerator) / exact.denominator
             assert abs(lp.moment(P2, 128) - want) < mpmath.mpf(2) ** -100
-
-    def test_zero_limit_keeps_start(self, x_full):
-        spec = RegimeSpec(RegimeKind.CUSTOM, t_func=lambda th: 0,
-                          custom_theta_t_limit=0)
-        lp = weak_limit_point(x_full, spec)
-        assert lp.base == x_full and lp.log_scale == 0
-        assert lp.moment(P2) == power_sum_product(P2, x_full)
 
 
 class TestMomentLimitScan:
@@ -144,6 +126,11 @@ class TestExactInner:
         from neutral_sampler.moments import power_sum_moment
         want = power_sum_moment(IntegerPartition.of(2, 2), theta) - stat ** 2
         assert got == want
+
+    def test_singleton_part_in_xi_rejected(self):
+        # psi_(3,1) is no basis element, since phi_1 == 1.
+        with pytest.raises(ValueError, match="xi needs parts >= 2"):
+            exact_inner(P2, IntegerPartition.of(3, 1), 10)
 
 
 class TestOrderScan:

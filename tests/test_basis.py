@@ -11,16 +11,13 @@ from neutral_sampler.basis import (
     BasisElement,
     basis_element,
     build_basis,
-    evaluate_basis_element,
-    evaluate_coeff_map,
     inner_product,
     monomial_labels,
-    normalized_element,
 )
 from neutral_sampler.combinatorics import EMPTY, IntegerPartition
 from neutral_sampler.moments import mixed_power_sum_moment, power_sum_moment
 from neutral_sampler.sampling import FrequencyVector
-from conftest import atom_power_sum_product, coprime_vectors
+from conftest import atom_power_sum_product, coprime_vectors, evaluate_coeff_map
 
 P2 = IntegerPartition.of(2)
 
@@ -151,17 +148,17 @@ class TestBuildBasis:
 class TestEvaluate:
     def test_psi2_at_point_mass(self, x_point):
         el = basis_element(2, Fraction(1), P2)
-        assert evaluate_basis_element(el, x_point) == Fraction(1, 2)
+        assert evaluate_coeff_map(el.coeffs, x_point) == Fraction(1, 2)
 
     @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 10])
     def test_psi2_at_zero(self, theta, x_pure_dust):
         theta = Fraction(theta)
         el = basis_element(2, theta, P2)
-        assert evaluate_basis_element(el, x_pure_dust) == -1 / (1 + theta)
+        assert evaluate_coeff_map(el.coeffs, x_pure_dust) == -1 / (1 + theta)
 
     def test_constant_element(self, x_full):
         el = basis_element(2, Fraction(1), EMPTY)
-        assert evaluate_basis_element(el, x_full) == 1
+        assert evaluate_coeff_map(el.coeffs, x_full) == 1
 
     def test_coeff_map_evaluation(self, x_full):
         got = evaluate_coeff_map({IntegerPartition.of(2): Fraction(3)}, x_full)
@@ -181,23 +178,15 @@ def test_coeff_map_equals_atom_oracle(coeffs, x):
 
 class TestNormalizedElement:
     def test_psi2(self):
-        coeffs, norm2 = normalized_element(basis_element(2, Fraction(1), P2))
-        assert norm2 == Fraction(1, 24)
-        assert coeffs[P2] == 1
+        el = basis_element(2, Fraction(1), P2)
+        assert el.norm2 == Fraction(1, 24)
+        assert el.coeffs[P2] == 1
 
     def test_constant(self):
-        _, norm2 = normalized_element(basis_element(2, Fraction(1), EMPTY))
-        assert norm2 == 1
+        assert basis_element(2, Fraction(1), EMPTY).norm2 == 1
 
     def test_psi3_positive(self):
-        _, norm2 = normalized_element(
-            basis_element(3, Fraction(1), IntegerPartition.of(3)))
-        assert norm2 > 0
-
-    def test_degenerate_rejected(self):
-        bad = BasisElement(P2, Fraction(1), {P2: Fraction(1)}, Fraction(0))
-        with pytest.raises(DegenerateBasisError):
-            normalized_element(bad)
+        assert basis_element(3, Fraction(1), IntegerPartition.of(3)).norm2 > 0
 
 
 def bound_table(labels):
@@ -228,7 +217,7 @@ class TestThetaLimits:
         basis = build_basis(6, Fraction(theta))
         for el in basis:
             for x in self.GRID:
-                assert abs(evaluate_basis_element(el, x)) <= bounds[el.label]
+                assert abs(evaluate_coeff_map(el.coeffs, x)) <= bounds[el.label]
 
     def test_coefficients_vanish_as_theta_grows(self):
         lo = build_basis(6, Fraction(10) ** 2)

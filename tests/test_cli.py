@@ -158,6 +158,11 @@ BAD_INPUTS = {
                        "--regime", "proportional:1", "--theta-grid", "0:10:log"],
     "grid_below_zero": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
                         "--theta-grid=-1:10:log"],
+    "zero_denominator_x": ["sample-prob", "--eta", "2", "--x", "1/0"],
+    "zero_denominator_t": ["transient", "--eta", "2", "--x", "1/2", "--theta", "1",
+                           "--t", "1/0"],
+    "singleton_part_in_xi": ["lemma41-scan", "--eta", "2", "--xi", "3,1",
+                             "--theta-grid", "10"],
 }
 
 

@@ -14,7 +14,6 @@ from neutral_sampler.combinatorics import (
     enumerate_partitions,
     enumerate_set_partitions,
     multinomial_constant,
-    partition_order,
 )
 from conftest import bell, partition_count, stirling2
 
@@ -45,7 +44,8 @@ class TestIntegerPartition:
             alpha = eta.alpha
             assert sum(alpha) == eta.l
             assert sum((i + 1) * a for i, a in enumerate(alpha)) == eta.n
-            assert IntegerPartition.from_alpha(alpha) == eta
+            assert IntegerPartition.of(*(size for size, count in enumerate(alpha, 1)
+                                         for _ in range(count))) == eta
 
     def test_concat(self):
         a = IntegerPartition.of(3, 1)
@@ -89,15 +89,15 @@ class TestEnumeratePartitions:
 
 class TestPartitionOrder:
     def test_smaller_size_first(self):
-        assert partition_order(IntegerPartition.of(2), IntegerPartition.of(3)) == -1
+        assert IntegerPartition.of(2) < IntegerPartition.of(3)
 
     def test_larger_leading_part_first(self):
         # The listing puts (4) before (2,2).
-        assert partition_order(IntegerPartition.of(4), IntegerPartition.of(2, 2)) == -1
+        assert IntegerPartition.of(4) < IntegerPartition.of(2, 2)
 
     def test_reflexive(self):
         p = IntegerPartition.of(2, 2)
-        assert partition_order(p, p) == 0
+        assert not p < p and not p > p
 
     def test_empty_sorts_first(self):
         assert EMPTY < IntegerPartition.of(2)
@@ -106,7 +106,7 @@ class TestPartitionOrder:
     def test_strict_total_order(self, n):
         ps = enumerate_partitions(n)
         for a, b in itertools.combinations(ps, 2):
-            assert partition_order(a, b) == -partition_order(b, a) != 0
+            assert (a < b) != (b < a)
         for a, b, c in itertools.combinations(ps, 3):
             if a < b and b < c:
                 assert a < c

@@ -52,6 +52,11 @@ class TestFrequencyVector:
     def test_pure_dust_is_legal(self, x_pure_dust):
         assert x_pure_dust.dust == 1
 
+    @pytest.mark.parametrize("text", ["1/0", "1/2,1/0", "0/0"])
+    def test_parse_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            FrequencyVector.parse(text)
+
 
 class TestPowerSum:
     def test_pair(self):
