@@ -6,7 +6,6 @@ rate functions of `rates` with exact finite-theta values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -15,10 +14,10 @@ from typing import Optional
 
 import mpmath
 
-from .basis import basis_element, inner_product
 from .combinatorics import EMPTY, IntegerPartition
 from .moments import check_theta, power_sum_moment
 from .rates import K_SUBLOG, rate_function
+from .records import FrozenRecord
 from .sampling import FrequencyVector, power_sum_product
 from .transient import DEFAULT_PRECISION_BITS, _to_mpf, get_evaluator
 
@@ -41,18 +40,17 @@ class RegimeKind(Enum):
     SUBLOG = "sublog"              # theta t -> inf, theta t / log theta -> 0
 
 
-@dataclass(frozen=True)
-class RegimeSpec:
+class RegimeSpec(FrozenRecord):
     """A small-time scale family t(theta) with its classification parameter."""
 
-    kind: RegimeKind
-    parameter: Optional[Fraction] = None
+    _fields = ("kind", "parameter")
 
-    def __post_init__(self):
-        if self.kind in (RegimeKind.PROPORTIONAL, RegimeKind.LOGARITHMIC):
-            if self.parameter is None or Fraction(self.parameter) <= 0:
-                raise ValueError("%s regime needs a positive parameter" % self.kind.value)
-            object.__setattr__(self, "parameter", Fraction(self.parameter))
+    def __init__(self, kind: RegimeKind, parameter: Optional[Fraction] = None):
+        if kind in (RegimeKind.PROPORTIONAL, RegimeKind.LOGARITHMIC):
+            if parameter is None or Fraction(parameter) <= 0:
+                raise ValueError("%s regime needs a positive parameter" % kind.value)
+            parameter = Fraction(parameter)
+        self._freeze(kind, parameter)
 
     @classmethod
     def proportional(cls, c) -> "RegimeSpec":
@@ -88,13 +86,14 @@ class RegimeSpec:
         return math.inf
 
 
-@dataclass(frozen=True)
-class LimitPoint:
+class LimitPoint(FrozenRecord):
     """Weak-limit point exp(log_scale) * base, kept exact via homogeneity:
     phi_omega at the point is e^{|omega| log_scale} phi_omega(base)."""
 
-    base: FrequencyVector
-    log_scale: Fraction = Fraction(0)
+    _fields = ("base", "log_scale")
+
+    def __init__(self, base: FrequencyVector, log_scale: Fraction = Fraction(0)):
+        self._freeze(base, log_scale)
 
     def moment(self, omega: IntegerPartition,
                precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -113,12 +112,11 @@ def weak_limit_point(x: FrequencyVector, regime: RegimeSpec) -> LimitPoint:
     return LimitPoint(x, log_scale=-limit / 2)
 
 
-@dataclass(frozen=True)
-class MomentScanRow:
-    theta: Fraction
-    computed: object
-    predicted: object
-    error: object
+class MomentScanRow(FrozenRecord):
+    _fields = ("theta", "computed", "predicted", "error")
+
+    def __init__(self, theta: Fraction, computed, predicted, error):
+        self._freeze(theta, computed, predicted, error)
 
 
 def moment_limit_scan(
@@ -180,15 +178,17 @@ def exact_inner(eta: IntegerPartition, xi: Optional[IntegerPartition],
     if xi is None or xi == EMPTY:
         return power_sum_moment(eta, theta)
     _check_min_part(xi, "xi")
+    # The one use of the basis in this module (Lemma 4.1).
+    from .basis import basis_element, inner_product
     psi = basis_element(xi.n, theta, xi)
     return inner_product({eta: Fraction(1)}, psi.coeffs, theta)
 
 
-@dataclass(frozen=True)
-class OrderScanRow:
-    theta: Fraction
-    theta2: Fraction
-    measured_exponent: float
+class OrderScanRow(FrozenRecord):
+    _fields = ("theta", "theta2", "measured_exponent")
+
+    def __init__(self, theta: Fraction, theta2: Fraction, measured_exponent: float):
+        self._freeze(theta, theta2, measured_exponent)
 
 
 def lemma41_order_scan(eta: IntegerPartition, xi: Optional[IntegerPartition],
@@ -217,13 +217,12 @@ def lemma41_constant_ratio(eta: IntegerPartition, xi: Optional[IntegerPartition]
     return exact_inner(eta, xi, theta) / lemma41_leading_term(eta, xi, theta)
 
 
-@dataclass(frozen=True)
-class SlopeScanRow:
-    theta: Fraction
-    probability: object
-    slope: object
-    abs_error: object
-    underflow: bool
+class SlopeScanRow(FrozenRecord):
+    _fields = ("theta", "probability", "slope", "abs_error", "underflow")
+
+    def __init__(self, theta: Fraction, probability, slope, abs_error,
+                 underflow: bool):
+        self._freeze(theta, probability, slope, abs_error, underflow)
 
 
 def ldp_slope_scan(

@@ -10,12 +10,12 @@ orthogonal exactly and no irrational scalar ever appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import EMPTY, IntegerPartition, enumerate_partitions_min2
 from .moments import check_theta, mixed_power_sum_moment
+from .records import Record
 
 CoeffMap = dict[IntegerPartition, Fraction]
 
@@ -46,16 +46,26 @@ def inner_product(f: CoeffMap, g: CoeffMap, theta) -> Fraction:
     return total
 
 
-@dataclass
-class BasisElement:
-    """psi_label as an exact linear combination of phi-monomials."""
+class BasisElement(Record):
+    """psi_label as an exact linear combination of phi-monomials.
 
-    label: IntegerPartition
-    theta: Fraction
-    coeffs: CoeffMap = field(repr=False)
-    norm2: Fraction
-    #: L[i][0..i]: phi_label = sum_j row[j] psi_j, with row[i] = 1.
-    row: tuple[Fraction, ...] = field(default=(), repr=False, compare=False)
+    Equality compares label, theta, coeffs and norm2; repr shows label,
+    theta and norm2."""
+
+    _fields = ("label", "theta", "coeffs", "norm2")
+
+    def __init__(self, label: IntegerPartition, theta: Fraction,
+                 coeffs: CoeffMap, norm2: Fraction, row: tuple[Fraction, ...] = ()):
+        self.label = label
+        self.theta = theta
+        self.coeffs = coeffs
+        self.norm2 = norm2
+        #: L[i][0..i]: phi_label = sum_j row[j] psi_j, with row[i] = 1.
+        self.row = row
+
+    def __repr__(self):
+        return "BasisElement(label=%r, theta=%r, norm2=%r)" % (
+            self.label, self.theta, self.norm2)
 
     def to_json(self) -> dict:
         return {

@@ -7,25 +7,29 @@ Exit codes: 0 success, 1 failed verification, 2 usage/parse errors,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 
-from . import verify
 from .combinatorics import IntegerPartition
 from .config import load_config
 from .sampling import (
     CapExceededError,
     FrequencyVector,
+    check_digits,
     parse_rational,
+    rational,
     sampling_probability,
 )
-from .verify import run_suite
 
 EXIT_CAP = 3
+
+#: The suites of `verify --suite` besides "all", sorted: verify.SUITES's
+#: names, written out so that no other command imports verify.
+SUITE_NAMES = ("consistency", "normalization", "oracle", "orthogonality",
+               "rate-function")
 
 #: Most points a theta grid may have; a longer grid exits 3.
 MAX_THETA_GRID_POINTS = 64
@@ -39,12 +43,13 @@ def _check_grid_length(count: int):
 
 def parse_theta_grid(text: str) -> list[Fraction]:
     """Either a comma list of thetas or "lo:hi:log" for decade steps, with
-    at most MAX_THETA_GRID_POINTS points."""
+    at most MAX_THETA_GRID_POINTS points.  A log grid's point count is
+    checked before the digits of its bounds."""
     if ":" in text:
-        lo, hi, kind = text.split(":")
+        lo_text, hi_text, kind = text.split(":")
         if kind != "log":
             raise ValueError("only log-spaced grids are supported, got %r" % kind)
-        lo, hi = parse_rational(lo), parse_rational(hi)
+        lo, hi = rational(lo_text), rational(hi_text)
         if lo <= 0 or hi <= 0:
             raise ValueError("log grid bounds must be positive, got %r" % text)
         if lo > hi:
@@ -55,6 +60,8 @@ def parse_theta_grid(text: str) -> list[Fraction]:
             grid.append(v)
             _check_grid_length(len(grid))
             v *= 10
+        check_digits(lo_text, lo)
+        check_digits(hi_text, hi)
         return grid
     tokens = text.split(",")
     _check_grid_length(len(tokens))
@@ -109,6 +116,7 @@ def emit(payload, rows=None, header=None, fmt="json", out=None):
         raise _out_error(out, exc) from None
     try:
         if fmt == "csv":
+            import csv
             writer = csv.writer(stream)
             writer.writerow(header)
             writer.writerows(rows)
@@ -248,6 +256,13 @@ def cmd_ldp_scan(args, cfg):
          fmt="csv" if args.out else cfg.output_format, out=args.out)
 
 
+def run_suite(name: str, **kwargs):
+    """verify.run_suite, imported on first use so that no other command
+    loads verify."""
+    from . import verify
+    return verify.run_suite(name, **kwargs)
+
+
 def cmd_verify(args, cfg):
     if args.max_size is not None:
         check_size(args.max_size, "--max-size", cfg)
@@ -334,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exact invariant suite")
     p.add_argument("--suite", default="all",
-                   choices=sorted(verify.SUITES) + ["all"])
+                   choices=SUITE_NAMES + ("all",))
     p.add_argument("--max-size", type=int,
                    help="size bound for every suite run (default: each suite's own)")
     p.add_argument("--theta", help="theta of the orthogonality suite")

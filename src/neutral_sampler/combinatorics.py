@@ -7,31 +7,41 @@ the constant function 1 and sorts before everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 from typing import Iterator
 
+from .records import FrozenRecord
+
 
 class EmptyInputError(ValueError):
     """Raised when an enumeration is asked for nothing."""
 
 
-@dataclass(frozen=True)
-class IntegerPartition:
+class IntegerPartition(FrozenRecord):
     """A partition of n into nonincreasing positive parts (possibly empty)."""
 
-    parts: tuple[int, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(p) for p in parts)
         if any(p < 1 for p in parts):
             raise ValueError("parts must be positive: %r" % (parts,))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be nonincreasing: %r" % (parts,))
+        self._freeze(parts)
+
+    # Every cache lookup keyed by a label runs these two, so they read the
+    # one field directly.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "IntegerPartition":
@@ -113,15 +123,13 @@ class IntegerPartition:
 EMPTY = IntegerPartition(())
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(FrozenRecord):
     """A partition of {1..l} into blocks ordered by their minima."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
         if not blocks or any(not b for b in blocks):
             raise ValueError("blocks must be nonempty")
         elems = [e for b in blocks for e in b]
@@ -131,6 +139,7 @@ class SetPartition:
         mins = [b[0] for b in blocks]
         if mins != sorted(mins):
             raise ValueError("blocks must be ordered by minima: %r" % (blocks,))
+        self._freeze(blocks)
 
     @property
     def d(self) -> int:

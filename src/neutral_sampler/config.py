@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
+from .records import Record
 from .sampling import DEFAULT_MAX_N
 
 PRECISION_ENV_VAR = "NEUTRAL_SAMPLER_PRECISION"
@@ -19,13 +19,14 @@ def check_precision(bits: int) -> int:
     return bits
 
 
-@dataclass
-class RunConfig:
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    max_n: int = DEFAULT_MAX_N
-    output_format: str = "json"
+class RunConfig(Record):
+    _fields = ("precision_bits", "max_n", "output_format")
 
-    def __post_init__(self):
+    def __init__(self, precision_bits: int = DEFAULT_PRECISION_BITS,
+                 max_n: int = DEFAULT_MAX_N, output_format: str = "json"):
+        self.precision_bits = precision_bits
+        self.max_n = max_n
+        self.output_format = output_format
         check_precision(self.precision_bits)
         if self.max_n < 1:
             raise ValueError("max_n must be positive")

@@ -4,10 +4,10 @@ their phase transition, in exact arithmetic (no float layer is imported)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import IntegerPartition
+from .records import FrozenRecord
 
 #: k value meaning "theta t / log theta -> infinity" (still log-theta speed).
 K_INFINITE = math.inf
@@ -18,10 +18,11 @@ SPEED_LOG_THETA = "logθ"
 SPEED_THETA_T = "θ·t(θ)"
 
 
-@dataclass(frozen=True)
-class RateFunctionResult:
-    speed: str
-    value: Fraction
+class RateFunctionResult(FrozenRecord):
+    _fields = ("speed", "value")
+
+    def __init__(self, speed: str, value: Fraction):
+        self._freeze(speed, value)
 
 
 def rate_function(n: int, eta: IntegerPartition, k) -> RateFunctionResult:

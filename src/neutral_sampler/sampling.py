@@ -15,7 +15,7 @@ dust draw is automatically a fresh type.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -26,6 +26,7 @@ from .combinatorics import (
     enumerate_partitions,
     multinomial_constant,
 )
+from .records import FrozenRecord
 
 DEFAULT_MAX_N = 8
 DEFAULT_MAX_ATOMS = 10
@@ -36,31 +37,71 @@ class CapExceededError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """A finite rational such as 1/3, 0.25 or 1e6; inf and nan are rejected."""
+    """A finite rational such as 1/3, 0.25 or 1e6; inf and nan are rejected,
+    and so is one with more digits than can be printed (check_digits)."""
+    return check_digits(text, rational(text))
+
+
+#: Largest decimal exponent a rational may be written with, so that building
+#: one takes at most about 0.2 s (1e10000000 would take 12 s).
+MAX_EXPONENT = 10**6
+
+
+def rational(text: str) -> Fraction:
+    """The Fraction that `text` denotes, its digits unchecked; an exponent
+    beyond MAX_EXPONENT is refused before the value is built."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        huge = bool(e) and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:  # no exponent after all; Fraction names the error
+        huge = False
+    if huge:
+        raise ValueError("exponent of %r is beyond %d" % (text, MAX_EXPONENT))
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text) from None
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+def check_digits(text: str, value: Fraction) -> Fraction:
+    """`value`, parsed from `text`, unless its numerator or denominator has
+    more decimal digits than Python converts to a string
+    (sys.get_int_max_str_digits(), 4300 by default): no command could print
+    it or anything computed from it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise ValueError("%r is too long: a numerator or denominator may have "
+                         "at most %d digits" % (text, limit))
+    return value
+
+
+class FrequencyVector(FrozenRecord):
     """Finitely many ranked atoms plus a dust mass making up total mass 1."""
 
-    atoms: tuple[Fraction, ...]
+    _fields = ("atoms",)
 
-    def __post_init__(self):
-        atoms = tuple(Fraction(a) for a in self.atoms)
+    def __init__(self, atoms: tuple[Fraction, ...]):
+        atoms = tuple(Fraction(a) for a in atoms)
         # Trailing zero atoms carry no information.
         while atoms and atoms[-1] == 0:
             atoms = atoms[:-1]
-        object.__setattr__(self, "atoms", atoms)
         if any(a < 0 or a > 1 for a in atoms):
             raise ValueError("atoms must lie in [0,1]: %r" % (atoms,))
         if any(atoms[i] < atoms[i + 1] for i in range(len(atoms) - 1)):
             raise ValueError("atoms must be nonincreasing: %r" % (atoms,))
         if sum(atoms) > 1:
             raise ValueError("atoms must sum to at most 1: %r" % (atoms,))
+        self._freeze(atoms)
+
+    # Every cache lookup keyed by a vector runs these two, so they read the
+    # one field directly.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash(self.atoms)
 
     @classmethod
     def of(cls, *atoms) -> "FrequencyVector":

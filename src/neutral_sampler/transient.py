@@ -31,7 +31,6 @@ that drops all exponential terms and returns the exact stationary value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -41,14 +40,20 @@ import mpmath
 from .combinatorics import EMPTY, IntegerPartition, multinomial_constant
 from .config import DEFAULT_PRECISION_BITS, check_precision
 from .moments import check_theta, esf_monomial_moment, power_sum_moment
+from .records import FrozenRecord
 from .sampling import FrequencyVector, expansion_of_monomial_sampler
 
 #: Entries per evaluator in each cache of mpf eigen-coefficients (moments and
-#: samplers), and per exact layer
-#: in the cache of integer numerators, one per (label, x): room for every eta
-#: of n <= 9 (96 of them) on two vectors, and for every label with parts >= 2
-#: up to size 16 (231 of them) on one vector.
+#: samplers), one per (label, x): room for every eta of n <= 9 (96 of them)
+#: on two vectors.
 EIGENCOEFF_CACHE_SIZE = 256
+
+#: Entries per exact layer in the cache of integer numerators, one per
+#: (label, x).  The recursion for one vector visits every label with parts
+#: >= 2 up to its size: 231 up to 16, 297 up to 17 and 627 up to 20.  So the
+#: bound holds all labels up to size 20 on one vector; a smaller bound evicts
+#: children the recursion still needs and recomputes them.
+LABEL_CACHE_SIZE = 1024
 
 #: Entries per evaluator in the cache of e^{-lambda_m t}, one per (m, t):
 #: room for m = 2..9 at 64 distinct times.
@@ -126,7 +131,7 @@ class ExactLayer:
 
     def __init__(self, theta: Fraction):
         self.theta = theta
-        self.label_numerators = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
+        self.label_numerators = lru_cache(maxsize=LABEL_CACHE_SIZE)(
             self.label_numerators)
         self.level = lru_cache(maxsize=LEVEL_CACHE_SIZE)(self.level)
 
@@ -181,18 +186,16 @@ def _exact_layer(theta: Fraction) -> ExactLayer:
     return ExactLayer(theta)
 
 
-@dataclass(frozen=True)
-class TimePoint:
+class TimePoint(FrozenRecord):
     """A nonnegative time (or the stationary sentinel) with its theta."""
 
-    t: object
-    theta: Fraction
-    precision_bits: int = DEFAULT_PRECISION_BITS
+    _fields = ("t", "theta", "precision_bits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", check_theta(self.theta))
-        check_precision(self.precision_bits)
-        object.__setattr__(self, "t", check_time(self.t))
+    def __init__(self, t, theta: Fraction,
+                 precision_bits: int = DEFAULT_PRECISION_BITS):
+        theta = check_theta(theta)
+        check_precision(precision_bits)
+        self._freeze(check_time(t), theta, precision_bits)
 
 
 def _to_mpf(q) -> mpmath.mpf:

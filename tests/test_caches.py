@@ -1,14 +1,18 @@
 import importlib
 import pkgutil
 import random
+from fractions import Fraction
 
 import neutral_sampler
-from neutral_sampler.combinatorics import IntegerPartition
-from neutral_sampler.sampling import random_frequency_vector
+from neutral_sampler.combinatorics import IntegerPartition, enumerate_partitions_min2
+from neutral_sampler.sampling import FrequencyVector, random_frequency_vector
 from neutral_sampler.transient import (
     DECAY_CACHE_SIZE,
     EIGENCOEFF_CACHE_SIZE,
+    LABEL_CACHE_SIZE,
+    ExactLayer,
     SpectralEvaluator,
+    _atom_table,
 )
 
 
@@ -60,13 +64,30 @@ def test_eigencoeff_cache_holds_at_most_its_bound():
     eta, omega = IntegerPartition.of(2, 1), IntegerPartition.of(2)
     rng = random.Random(7)
     seen = set()
-    while len(seen) < EIGENCOEFF_CACHE_SIZE + 50:
+    # Each vector adds one entry to each evaluator cache and at least one to
+    # the label cache, so this fills all three past their bounds.
+    while len(seen) < LABEL_CACHE_SIZE + 50:
         x = random_frequency_vector(rng, max_atoms=4, with_dust=True)
         seen.add(x)
         ev.sampling_probability(eta, x, 1.0)
         ev.moment(omega, x, 1.0)
-    for cache in (ev._exact.label_numerators, ev._sampler_terms, ev._moment_terms):
+    assert ev._exact.label_numerators.cache_info().currsize == LABEL_CACHE_SIZE
+    for cache in (ev._sampler_terms, ev._moment_terms):
         assert cache.cache_info().currsize == EIGENCOEFF_CACHE_SIZE
+
+
+def test_label_cache_holds_every_label_up_to_size_17_on_one_vector():
+    # The recursion from the 66 labels of size 17 visits all 297 labels with
+    # parts >= 2 up to size 17; a bound below that evicts children it still
+    # needs, and each one recomputed is a second miss for the same entry.
+    layer = ExactLayer(Fraction(1))
+    table = _atom_table(FrequencyVector.of(Fraction(1, 2), Fraction(1, 3),
+                                           Fraction(1, 6)))
+    for label in enumerate_partitions_min2(17):
+        layer.label_numerators(label, table)
+    info = layer.label_numerators.cache_info()
+    assert info.currsize == 297
+    assert info.misses == info.currsize
 
 
 def test_decay_cache_holds_at_most_its_bound():

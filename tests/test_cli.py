@@ -3,11 +3,12 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
 import neutral_sampler
-from neutral_sampler import cli
+from neutral_sampler import cli, verify
 from neutral_sampler.cli import main, parse_rational, parse_regime, parse_theta_grid
 from neutral_sampler.sampling import CapExceededError
 from fractions import Fraction
@@ -70,6 +71,22 @@ class TestParsers:
     def test_rational_rejects_non_finite(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1e4299", "1e-4299", "9" * 4300, "1/" + "7" * 4300],
+                             ids=["exponent", "negative_exponent", "numerator",
+                                  "denominator"])
+    def test_rational_at_the_digit_limit(self, text):
+        assert parse_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "3e20000", "1e10000000",
+                                      "0e10000000"])
+    def test_rational_over_the_digit_limit_rejected(self, text):
+        with pytest.raises(ValueError, match="too long|beyond"):
+            parse_rational(text)
+
+    def test_log_grid_bounds_over_the_digit_limit_rejected(self):
+        with pytest.raises(ValueError, match="too long"):
+            parse_theta_grid("1e-5000:1e-4990:log")
 
     def test_regime(self):
         spec = parse_regime("logarithmic:1/2")
@@ -171,6 +188,32 @@ def test_bad_input_exits_2_without_traceback(argv):
     proc = run_cli_process(*argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_suite_names_are_verifys_suites():
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
+OVERSIZED_RATIONALS = {
+    "transient_theta": ["transient", "--eta", "3,3,2", "--x", "1/2,1/3",
+                        "--theta", "1e20000", "--t", "1"],
+    "moment_theta": ["moment", "--eta", "2", "--theta", "1e5000"],
+    "weak_limit_scan_grid": ["weak-limit-scan", "--omega", "2", "--x", "1/2,1/3",
+                             "--regime", "proportional:1", "--theta-grid", "1e5000"],
+    "sample_prob_x": ["sample-prob", "--eta", "2", "--x", "1e-5000"],
+    "huge_exponent": ["moment", "--eta", "2", "--theta", "1e10000000"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_RATIONALS.values(),
+                         ids=OVERSIZED_RATIONALS.keys())
+def test_oversized_rational_exits_2_within_a_second(argv):
+    start = time.monotonic()
+    proc = run_cli_process(*argv)
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
 
 

@@ -1,6 +1,7 @@
 """What importing the package and running each command loads: the exact
-commands never import mpmath or the float layer, and the package resolves
-its public names on first access."""
+commands never import mpmath, the float layer, dataclasses or inspect; only
+verify loads the verify module, and only the commands that need psi load the
+basis; and the package resolves its public names on first access."""
 
 import ast
 import importlib
@@ -15,6 +16,10 @@ import pytest
 import neutral_sampler
 
 FLOAT_MODULES = ("mpmath", "neutral_sampler.transient", "neutral_sampler.asymptotics")
+
+#: Standard modules that cost every process that imports them: `dataclasses`
+#: imports `inspect`, which imports `ast`, `dis` and `tokenize`.
+STARTUP_MODULES = ("dataclasses", "inspect")
 
 #: Every name the package re-exports, with the module that defines it.
 EXPORTS = {
@@ -54,13 +59,15 @@ EXPORTS = {
 }
 
 #: Runs `cli.main` on the arguments and reports, on stderr, its exit code
-#: and which of the package's modules and mpmath it left loaded.
+#: and which of the package's modules, mpmath, dataclasses and inspect it
+#: left loaded.
 _RUN_MAIN = """
 import json, sys
 from neutral_sampler import cli
 rc = cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules
-                if m == "mpmath" or m.split(".")[0] == "neutral_sampler")
+                if m in ("mpmath", "dataclasses", "inspect")
+                or m.split(".")[0] == "neutral_sampler")
 print(json.dumps({"rc": rc, "loaded": loaded}), file=sys.stderr)
 """
 
@@ -93,6 +100,30 @@ def test_exact_commands_skip_the_float_layer(argv):
     loaded = _modules_after(*argv)
     assert "neutral_sampler.cli" in loaded
     assert loaded.isdisjoint(FLOAT_MODULES)
+    assert loaded.isdisjoint(STARTUP_MODULES)
+
+
+#: One invocation of every command.
+COMMANDS = [
+    ("sample-prob", "--eta", "2,1", "--x", "1/2,1/3"),
+    ("moment", "--eta", "2", "--xi", "2", "--theta", "1/2"),
+    ("basis", "--max-size", "3", "--theta", "1"),
+    ("transient", "--eta", "2,1", "--x", "1/2,1/3", "--theta", "1", "--t", "0.5"),
+    ("weak-limit-scan", "--omega", "2", "--x", "1/2,1/3", "--regime",
+     "proportional:1", "--theta-grid", "1e3"),
+    ("lemma41-scan", "--eta", "3", "--xi", "2", "--theta-grid", "1e6"),
+    ("rate-function", "--n", "5", "--eta", "2,2,1", "--k", "1/2"),
+    ("ldp-scan", "--n", "2", "--eta", "2", "--k", "4", "--theta-grid", "1e5"),
+    ("verify", "--suite", "rate-function", "--max-size", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_verify_and_basis_load_only_for_the_commands_that_use_them(argv):
+    loaded = _modules_after(*argv)
+    assert ("neutral_sampler.verify" in loaded) == (argv[0] == "verify")
+    assert ("neutral_sampler.basis" in loaded) == (
+        argv[0] in ("basis", "lemma41-scan", "verify"))
 
 
 def test_transient_command_loads_mpmath():
@@ -151,3 +182,21 @@ def _unused_imports(path):
     ids=lambda path: path.name)
 def test_every_top_level_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _imported_modules(path):
+    """Every module that an import statement anywhere in the file names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", sorted(pathlib.Path(neutral_sampler.__file__).parent.glob("*.py")),
+    ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in _imported_modules(path)
