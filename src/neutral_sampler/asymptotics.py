@@ -178,7 +178,8 @@ def exact_inner(eta: IntegerPartition, xi: Optional[IntegerPartition],
     if xi is None or xi == EMPTY:
         return power_sum_moment(eta, theta)
     _check_min_part(xi, "xi")
-    # The one use of the basis in this module (Lemma 4.1).
+    # Imported here, at the module's one use of psi, so that the scans that
+    # need none do not load the basis.
     from .basis import basis_element, inner_product
     psi = basis_element(xi.n, theta, xi)
     return inner_product({eta: Fraction(1)}, psi.coeffs, theta)

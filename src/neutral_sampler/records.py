@@ -1,8 +1,9 @@
 """Value classes without the `dataclasses` module.
 
 `dataclasses` imports `inspect` (and with it `ast`, `dis` and `tokenize`),
-about 14 ms of every CLI process, so the package's value classes take their
-equality, hash and repr from the field names they list instead.  Each class
+about 16 ms of every CLI process on a 2-core Xeon with Python 3.11, so the
+package's value classes take their equality, hash and repr from the field
+names they list instead.  Each class
 writes its own `__init__`, which keeps its signature and its checks.
 """
 

@@ -66,10 +66,14 @@ def rational(text: str) -> Fraction:
 def check_digits(text: str, value: Fraction) -> Fraction:
     """`value`, parsed from `text`, unless its numerator or denominator has
     more decimal digits than Python converts to a string
-    (sys.get_int_max_str_digits(), 4300 by default): no command could print
-    it or anything computed from it."""
+    (sys.get_int_max_str_digits(), 4300 by default), so that the CLI, which
+    echoes its rationals, could not print it."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+    big = max(abs(value.numerator), value.denominator)
+    # A number of b bits is below 2^b, which is at most 10^limit while
+    # b <= 3.32 limit (log2(10) > 3.32); so 10^limit, about 60 us to build,
+    # is built only for a number near the limit.
+    if limit and big.bit_length() > 3.32 * limit and big >= 10**limit:
         raise ValueError("%r is too long: a numerator or denominator may have "
                          "at most %d digits" % (text, limit))
     return value
