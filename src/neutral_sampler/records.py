@@ -3,8 +3,8 @@
 `dataclasses` imports `inspect` (and with it `ast`, `dis` and `tokenize`),
 about 16 ms of every CLI process on a 2-core Xeon with Python 3.11, so the
 package's value classes take their equality, hash and repr from the field
-names they list instead.  Each class
-writes its own `__init__`, which keeps its signature and its checks.
+names they list instead.  Each class writes its own `__init__`, which keeps
+its signature and its checks.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ class Record:
     order, as a dataclass gives them; instances are mutable and unhashable."""
 
     _fields: tuple[str, ...] = ()
-
-    __hash__ = None
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
