@@ -35,7 +35,6 @@ _MODULE_OF = {
     "SpectralEvaluator": "transient",
     "TimePoint": "transient",
     "eigenvalue": "transient",
-    "transient_moment": "transient",
     "transient_sampling_probability": "transient",
     "RateFunctionResult": "rates",
     "rate_function": "rates",

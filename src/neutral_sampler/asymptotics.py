@@ -186,36 +186,32 @@ def exact_inner(eta: IntegerPartition, xi: Optional[IntegerPartition],
 
 
 class OrderScanRow(FrozenRecord):
-    _fields = ("theta", "theta2", "measured_exponent")
+    _fields = ("theta", "measured_exponent", "constant_ratio")
 
-    def __init__(self, theta: Fraction, theta2: Fraction, measured_exponent: float):
-        self._freeze(theta, theta2, measured_exponent)
+    def __init__(self, theta: Fraction, measured_exponent: float,
+                 constant_ratio: Fraction):
+        self._freeze(theta, measured_exponent, constant_ratio)
 
 
 def lemma41_order_scan(eta: IntegerPartition, xi: Optional[IntegerPartition],
-                       theta_pairs) -> list[OrderScanRow]:
-    """Measured theta-exponent -log2(v(2 theta)/v(theta)) for exact v."""
+                       thetas) -> list[OrderScanRow]:
+    """For exact v at each theta, the measured theta-exponent
+    -log2(v(2 theta)/v(theta)) and the constant ratio v(theta) over the
+    predicted leading term (reported, not asserted for nonempty xi: the
+    normalization of the printed recursion is ambiguous)."""
     rows = []
-    for th1, th2 in theta_pairs:
-        th1, th2 = Fraction(th1), Fraction(th2)
-        if th2 != 2 * th1:
-            raise ValueError("theta pairs must be (theta, 2*theta)")
-        v1 = exact_inner(eta, xi, th1)
-        v2 = exact_inner(eta, xi, th2)
+    for theta in thetas:
+        theta = Fraction(theta)
+        v1 = exact_inner(eta, xi, theta)
+        v2 = exact_inner(eta, xi, 2 * theta)
         if v1 == 0 or v2 == 0:
-            raise ValueError("inner product vanished; no slope at theta=%s" % th1)
+            raise ValueError("inner product vanished; no slope at theta=%s" % theta)
         ratio = abs(Fraction(v2, v1))
         # math.log2 takes arbitrary-size ints, so no overflow here.
         measured = -(math.log2(ratio.numerator) - math.log2(ratio.denominator))
-        rows.append(OrderScanRow(th1, th2, measured))
+        rows.append(OrderScanRow(
+            theta, measured, v1 / lemma41_leading_term(eta, xi, theta)))
     return rows
-
-
-def lemma41_constant_ratio(eta: IntegerPartition, xi: Optional[IntegerPartition],
-                           theta) -> Fraction:
-    """Exact value divided by the predicted leading term (reported, not asserted
-    for nonempty xi: the normalization of the printed recursion is ambiguous)."""
-    return exact_inner(eta, xi, theta) / lemma41_leading_term(eta, xi, theta)
 
 
 class SlopeScanRow(FrozenRecord):
@@ -235,13 +231,17 @@ def ldp_slope_scan(
     precision_bits: int = 512,
 ) -> list[SlopeScanRow]:
     """s(theta) = -log P_n^theta(eta) / log theta along the grid, against
-    the rate-function prediction; underflowing rows are flagged, not faked."""
+    the rate-function prediction, for theta > 1; underflowing rows are
+    flagged, not faked."""
     target = rate_function(n, eta, k)
     regime = RegimeSpec.sublog() if Fraction(k) == K_SUBLOG \
         else RegimeSpec.logarithmic(k)
+    thetas = [check_theta(theta) for theta in theta_grid]
+    for theta in thetas:
+        if theta <= 1:  # the speed log(theta) is 0 at 1 and negative below
+            raise ValueError("the slope scan needs theta > 1, got theta=%s" % theta)
     rows = []
-    for theta in theta_grid:
-        theta = check_theta(theta)
+    for theta in thetas:
         t = regime.time_at(theta, precision_bits)
         p = get_evaluator(theta, precision_bits).sampling_probability(eta, x, t)
         with mpmath.workprec(precision_bits):

@@ -205,18 +205,14 @@ def cmd_weak_limit_scan(args, cfg):
 
 
 def cmd_lemma41_scan(args, cfg):
-    from .asymptotics import lemma41_constant_ratio, lemma41_order_scan
+    from .asymptotics import lemma41_order_scan
     eta = IntegerPartition.parse(args.eta)
     xi = IntegerPartition.parse(args.xi) if args.xi is not None else None
     grid = parse_theta_grid(args.theta_grid)
     check_size(eta.n + (xi.n if xi is not None else 0), "|eta| + |xi|", cfg)
-    pairs = [(th, 2 * th) for th in grid]
-    rows = lemma41_order_scan(eta, xi, pairs)
-    table = []
-    for row in rows:
-        ratio = lemma41_constant_ratio(eta, xi, row.theta)
-        table.append([str(row.theta), "%.6f" % row.measured_exponent,
-                      "%.6f" % float(ratio)])
+    table = [[str(row.theta), "%.6f" % row.measured_exponent,
+              "%.6f" % float(row.constant_ratio)]
+             for row in lemma41_order_scan(eta, xi, grid)]
     emit([dict(zip(("theta", "measured_exponent", "constant_ratio"), row))
           for row in table],
          rows=table, header=["theta", "measured_exponent", "constant_ratio"],

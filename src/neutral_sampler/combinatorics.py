@@ -145,15 +145,9 @@ class SetPartition(FrozenRecord):
     def d(self) -> int:
         return len(self.blocks)
 
-    @property
-    def l(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(b) for b in self.blocks]
-
 
 def _partition_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n with parts <= cap, in the canonical order."""
     if n == 0:
         yield ()
         return
@@ -167,17 +161,14 @@ def enumerate_partitions(n: int) -> tuple[IntegerPartition, ...]:
     """All partitions of n, in the canonical order."""
     if n < 1:
         raise EmptyInputError("n must be >= 1, got %r" % (n,))
-    parts = [IntegerPartition._trusted(t) for t in _partition_tuples(n, n)]
-    return tuple(sorted(parts, key=IntegerPartition.sort_key))
+    return tuple(IntegerPartition._trusted(t) for t in _partition_tuples(n, n))
 
 
-@lru_cache(maxsize=64)
 def enumerate_partitions_min2(n: int) -> tuple[IntegerPartition, ...]:
     """Partitions of n with every part >= 2, in canonical order."""
     if n < 1:
         raise EmptyInputError("n must be >= 1, got %r" % (n,))
-    out = [p for p in enumerate_partitions(n) if p.min_part >= 2]
-    return tuple(out)
+    return tuple(p for p in enumerate_partitions(n) if p.min_part >= 2)
 
 
 @lru_cache(maxsize=256)

@@ -12,10 +12,15 @@ PRECISION_ENV_VAR = "NEUTRAL_SAMPLER_PRECISION"
 #: Working precision of the float layer unless a run configures another.
 DEFAULT_PRECISION_BITS = 256
 
+#: Most precision bits a run may ask for: mpf work grows with the precision,
+#: and at this ceiling a 64-point `ldp-scan --n 8` still takes seconds.
+MAX_PRECISION_BITS = 8192
+
 
 def check_precision(bits: int) -> int:
-    if bits < 64:
-        raise ValueError("precision_bits must be >= 64, got %d" % bits)
+    if not 64 <= bits <= MAX_PRECISION_BITS:
+        raise ValueError("precision_bits must be in [64, %d], got %d"
+                         % (MAX_PRECISION_BITS, bits))
     return bits
 
 

@@ -22,10 +22,12 @@ builds one Fraction per m.  The numerators depend on theta and x only, so
 one bounded exact layer per theta serves the evaluators of every precision.
 
 The float layer works at a configurable (default 256-bit) precision: each
-evaluator converts the coefficients of one (label, x) to mpf once, and
+evaluator converts the sampler coefficients of one (eta, x) to mpf once, and
 computes each lambda_m once and each e^{-lambda_m t} once per (m, t), so a
-call at a finite t is at most n + 1 multiply-adds.  t = inf is a sentinel
-that drops all exponential terms and returns the exact stationary value.
+sampler call at a finite t is at most n + 1 multiply-adds; a moment converts
+its coefficients on each call, since no traffic repeats an (omega, x).
+t = inf is a sentinel that drops all exponential terms and returns the exact
+stationary value.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ from .moments import check_theta, esf_monomial_moment, power_sum_moment
 from .records import FrozenRecord
 from .sampling import FrequencyVector, expansion_of_monomial_sampler
 
-#: Entries per evaluator in each cache of mpf eigen-coefficients (moments and
-#: samplers), one per (label, x): room for every eta of n <= 9 (96 of them)
-#: on two vectors.
+#: Entries per evaluator in the cache of mpf sampler eigen-coefficients, one
+#: per (eta, x): room for every eta of n <= 9 (96 of them) on two vectors.
 EIGENCOEFF_CACHE_SIZE = 256
 
 #: Entries per exact layer in the cache of integer numerators, one per
@@ -114,8 +115,7 @@ def generator_children(label: IntegerPartition) -> tuple[tuple[IntegerPartition,
     return tuple((IntegerPartition._trusted(k), w) for k, w in weights.items())
 
 
-# One entry per vector: room for the vectors of many thetas' scans.
-@lru_cache(maxsize=256)
+# Not cached: hashing the vector's Fractions for a lookup costs as much as a rebuild.
 def _atom_table(x: FrequencyVector) -> tuple[int, tuple[int, ...]]:
     """(D, (a_i D)_i): the lcm D of the atoms' denominators and each atom
     scaled to an integer, so phi_p(x) = W_p / D^p with W_p = sum_i (a_i D)^p.
@@ -145,10 +145,6 @@ class ExactLayer:
         l_n = math.prod(g for g in gaps if g)
         factors = tuple(2 * q * l_n // g if g else 0 for g in gaps)
         return l_n, self.level(n - 1)[1] * l_n, factors
-
-    def denominator(self, n: int, d: int) -> int:
-        """D^n H_n, the common denominator of the labels of size n."""
-        return d**n * self.level(n)[1]
 
     def label_numerators(self, label: IntegerPartition,
                          table: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
@@ -216,25 +212,12 @@ class SpectralEvaluator:
         self._exact = _exact_layer(self.theta)
         # Per evaluator, since the floats depend on the precision; bounded,
         # since get_evaluator keeps up to 32 evaluators alive.
-        for name in ("_moment_terms", "_sampler_terms"):
-            setattr(self, name, lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
-                getattr(self, name)))
+        self._sampler_terms = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
+            self._sampler_terms)
         self._decay = lru_cache(maxsize=DECAY_CACHE_SIZE)(self._decay)
         self._rate = lru_cache(maxsize=LEVEL_CACHE_SIZE)(self._rate)
 
     # -- exact layer ---------------------------------------------------
-
-    def _label_coefficients(self, label: IntegerPartition,
-                            x: FrequencyVector) -> tuple[Fraction, ...]:
-        """(A[0], ..., A[n]) with E_x phi_label(X_t) = sum_m A[m] e^{-lambda_m t}
-        and lambda_0 = 0; A[1] = 0, since no label has size 1.
-
-        The Fraction view of the shared integer numerators N[m] over
-        D^n H_n; the evaluator itself combines numerators in integers."""
-        table = _atom_table(x)
-        den = self._exact.denominator(label.n, table[0])
-        return tuple(Fraction(a, den)
-                     for a in self._exact.label_numerators(label, table))
 
     def eigen_coefficients(
         self, f: tuple[tuple[IntegerPartition, Fraction], ...], x: FrequencyVector
@@ -266,7 +249,7 @@ class SpectralEvaluator:
                 if a:
                     totals[m] += scale * a
             scale *= d * exact.level(s)[0]
-        common = den * exact.denominator(top, d)
+        common = den * d**top * exact.level(top)[1]  # den D^top H_top
         return {m: Fraction(v, common) for m, v in enumerate(totals) if v}
 
     def _moment_eigencoeffs(self, omega: IntegerPartition, x: FrequencyVector):
@@ -284,9 +267,6 @@ class SpectralEvaluator:
     def _mpf_terms(self, eigen: dict[int, Fraction]) -> tuple[tuple[int, mpmath.mpf], ...]:
         with mpmath.workprec(self.precision_bits):
             return tuple((m, _to_mpf(c)) for m, c in sorted(eigen.items()))
-
-    def _moment_terms(self, omega: IntegerPartition, x: FrequencyVector):
-        return self._mpf_terms(self._moment_eigencoeffs(omega, x))
 
     def _sampler_terms(self, eta: IntegerPartition, x: FrequencyVector):
         return self._mpf_terms(self._sampler_eigencoeffs(eta, x))
@@ -318,7 +298,8 @@ class SpectralEvaluator:
         """E_x phi_omega(X_t); exact Fraction for the stationary sentinel."""
         if check_time(t) is STATIONARY:
             return power_sum_moment(omega, self.theta)
-        return self._combine(self._moment_terms(omega, x), t)
+        return self._combine(
+            self._mpf_terms(self._moment_eigencoeffs(omega, x)), t)
 
     def sampling_probability(self, eta: IntegerPartition, x: FrequencyVector, t):
         """P_n^theta(eta) = E_x p_eta(X_t); exact ESF value at the sentinel."""
@@ -335,10 +316,6 @@ class SpectralEvaluator:
 def get_evaluator(theta, precision_bits: int = DEFAULT_PRECISION_BITS) -> SpectralEvaluator:
     """The shared evaluator of one (theta, precision_bits)."""
     return SpectralEvaluator(theta, precision_bits)
-
-
-def transient_moment(omega: IntegerPartition, x: FrequencyVector, tp: TimePoint):
-    return get_evaluator(tp.theta, tp.precision_bits).moment(omega, x, tp.t)
 
 
 def transient_sampling_probability(eta: IntegerPartition, x: FrequencyVector,

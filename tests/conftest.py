@@ -30,7 +30,7 @@ from neutral_sampler.basis import build_basis, inner_product
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
 from neutral_sampler.moments import rising_factorial
 from neutral_sampler.sampling import FrequencyVector, _power_sum_table
-from neutral_sampler.transient import generator_children
+from neutral_sampler.transient import _atom_table, _exact_layer, generator_children
 
 
 @lru_cache(maxsize=None)
@@ -175,6 +175,17 @@ def row_eigen_coefficients(f, x: FrequencyVector, theta) -> dict[int, Fraction]:
                      Fraction(0))
         out[m] = out.get(m, Fraction(0)) + c
     return {m: v for m, v in out.items() if v != 0}
+
+
+def label_coefficients(label: IntegerPartition, x: FrequencyVector,
+                       theta) -> tuple[Fraction, ...]:
+    """(A[0], ..., A[n]) with E_x phi_label(X_t) = sum_m A[m] e^{-lambda_m t}
+    and lambda_0 = 0; A[1] = 0, since no label has size 1.  Not an oracle:
+    the library's own integer numerators N[m] of theta's exact layer, each
+    divided by D^n H_n, for comparison with the oracles."""
+    layer, table = _exact_layer(Fraction(theta)), _atom_table(x)
+    den = table[0] ** label.n * layer.level(label.n)[1]
+    return tuple(Fraction(a, den) for a in layer.label_numerators(label, table))
 
 
 @lru_cache(maxsize=4096)

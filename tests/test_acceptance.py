@@ -18,7 +18,6 @@ import pytest
 from neutral_sampler.asymptotics import (
     RegimeSpec,
     ldp_slope_scan,
-    lemma41_constant_ratio,
     lemma41_order_scan,
     moment_limit_scan,
     rate_function,
@@ -157,14 +156,13 @@ CANCELLED_PAIRS = (
 
 def test_criterion_7_leading_orders():
     ok = True
-    pairs = [(Fraction(10) ** 6, 2 * Fraction(10) ** 6)]
+    thetas = [Fraction(10) ** 6]
     # <phi_eta, 1>: order within 0.05 and constant within 1% for |eta| <= 5.
     for eta in min2_partitions(5):
-        (row,) = lemma41_order_scan(eta, None, pairs)
+        (row,) = lemma41_order_scan(eta, None, thetas)
         if abs(row.measured_exponent - (eta.n - eta.l)) > 0.05:
             ok = False
-        ratio = lemma41_constant_ratio(eta, None, Fraction(10) ** 6)
-        if abs(ratio - 1) > Fraction(1, 100):
+        if abs(row.constant_ratio - 1) > Fraction(1, 100):
             ok = False
     # <phi_eta, psi_xi>: order within 0.05; constants reported, not asserted.
     xis = [IntegerPartition.of(2), IntegerPartition.of(3),
@@ -175,12 +173,12 @@ def test_criterion_7_leading_orders():
                 continue  # <phi_eta, psi_xi> = 0 exactly, by construction
             if (eta, xi) in CANCELLED_PAIRS:
                 continue  # see test_criterion_7_cancelled_pair
-            (row,) = lemma41_order_scan(eta, xi, pairs)
+            (row,) = lemma41_order_scan(eta, xi, thetas)
             predicted = eta.n - eta.l + xi.n - xi.l + 1
             if abs(row.measured_exponent - predicted) > 0.05:
                 ok = False
-            ratio = lemma41_constant_ratio(eta, xi, Fraction(10) ** 6)
-            print("constant ratio eta=%s xi=%s: %.6f" % (eta, xi, float(ratio)))
+            print("constant ratio eta=%s xi=%s: %.6f"
+                  % (eta, xi, float(row.constant_ratio)))
     report(7, "leading orders", ok)
 
 
@@ -192,8 +190,7 @@ def test_criterion_7_leading_orders():
     "generic prediction",
 )
 def test_criterion_7_cancelled_pair(eta, xi):
-    (row,) = lemma41_order_scan(eta, xi, [(Fraction(10) ** 6,
-                                           2 * Fraction(10) ** 6)])
+    (row,) = lemma41_order_scan(eta, xi, [Fraction(10) ** 6])
     predicted = eta.n - eta.l + xi.n - xi.l + 1  # = 5; measured is ~6
     assert abs(row.measured_exponent - predicted) <= 0.05
 

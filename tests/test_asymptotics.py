@@ -8,7 +8,6 @@ from neutral_sampler.asymptotics import (
     RegimeSpec,
     exact_inner,
     ldp_slope_scan,
-    lemma41_constant_ratio,
     lemma41_leading_term,
     lemma41_order_scan,
     moment_limit_scan,
@@ -134,32 +133,28 @@ class TestExactInner:
 
 
 class TestOrderScan:
-    def big_pairs(self):
-        return [(Fraction(10) ** 6, 2 * Fraction(10) ** 6)]
+    def big_thetas(self):
+        return [Fraction(10) ** 6]
 
     def test_phi2_vs_one_measures_one(self):
-        (row,) = lemma41_order_scan(P2, None, self.big_pairs())
+        (row,) = lemma41_order_scan(P2, None, self.big_thetas())
         assert abs(row.measured_exponent - 1) < 0.05
 
     def test_phi3_vs_psi2_measures_four(self):
-        (row,) = lemma41_order_scan(P3, P2, self.big_pairs())
+        (row,) = lemma41_order_scan(P3, P2, self.big_thetas())
         assert abs(row.measured_exponent - 4) < 0.05
-
-    def test_bad_pair_rejected(self):
-        with pytest.raises(ValueError):
-            lemma41_order_scan(P2, None, [(Fraction(10), Fraction(30))])
 
     def test_constant_ratio_phi2(self):
         # Exact/predicted = theta/(1+theta) -> 1.
-        r = lemma41_constant_ratio(P2, None, Fraction(10) ** 6)
-        assert abs(r - 1) < Fraction(1, 100)
+        (row,) = lemma41_order_scan(P2, None, self.big_thetas())
+        assert abs(row.constant_ratio - 1) < Fraction(1, 100)
 
     def test_known_cancellation_pair(self):
         # For eta = (2,2) against psi_(3) the projection corrections cancel
         # the nominal leading term, so the measured order comes out one
         # higher than the generic prediction.  Pinned as a regression check.
         (row,) = lemma41_order_scan(IntegerPartition.of(2, 2), P3,
-                                    self.big_pairs())
+                                    self.big_thetas())
         assert abs(row.measured_exponent - 6) < 0.05
 
 
@@ -217,6 +212,18 @@ class TestSlopeScan:
         with mpmath.workprec(512):
             errs = [mpmath.mpf(r.abs_error) for r in rows]
             assert errs[-1] < errs[0]
+
+    @pytest.mark.parametrize("grid", [[Fraction(10), Fraction(1)], [Fraction(1, 2)]],
+                             ids=["ten_then_one", "half"])
+    def test_theta_at_most_one_refused_before_any_point(self, grid, x_full,
+                                                        monkeypatch):
+        # The speed log(theta) is 0 at theta = 1 and negative below it.
+        def evaluate(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator", evaluate)
+        with pytest.raises(ValueError, match="theta > 1, got theta=%s" % grid[-1]):
+            ldp_slope_scan(2, P2, 1, grid, x_full, 256)
 
     def test_sublog_speed_used(self, x_full):
         rows = ldp_slope_scan(2, P2, K_SUBLOG, [Fraction(100)], x_full, 256)

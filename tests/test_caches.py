@@ -29,17 +29,14 @@ CACHES = {
     "basis.build_basis",
     "combinatorics.coarsening_weights",
     "combinatorics.enumerate_partitions",
-    "combinatorics.enumerate_partitions_min2",
     "combinatorics.enumerate_set_partitions",
     "moments._moment_coefficients",
     "moments.power_sum_moment",
     "sampling.expansion_of_monomial_sampler",
-    "transient._atom_table",
     "transient._exact_layer",
     "transient.generator_children",
     "transient.get_evaluator",
     "transient.SpectralEvaluator._decay",
-    "transient.SpectralEvaluator._moment_terms",
     "transient.SpectralEvaluator._rate",
     "transient.SpectralEvaluator._sampler_terms",
     "transient.ExactLayer.label_numerators",
@@ -64,16 +61,15 @@ def test_eigencoeff_cache_holds_at_most_its_bound():
     eta, omega = IntegerPartition.of(2, 1), IntegerPartition.of(2)
     rng = random.Random(7)
     seen = set()
-    # Each vector adds one entry to each evaluator cache and at least one to
-    # the label cache, so this fills all three past their bounds.
+    # Each vector adds one entry to the sampler cache and at least one to the
+    # label cache, so this fills both past their bounds.
     while len(seen) < LABEL_CACHE_SIZE + 50:
         x = random_frequency_vector(rng, max_atoms=4, with_dust=True)
         seen.add(x)
         ev.sampling_probability(eta, x, 1.0)
         ev.moment(omega, x, 1.0)
     assert ev._exact.label_numerators.cache_info().currsize == LABEL_CACHE_SIZE
-    for cache in (ev._sampler_terms, ev._moment_terms):
-        assert cache.cache_info().currsize == EIGENCOEFF_CACHE_SIZE
+    assert ev._sampler_terms.cache_info().currsize == EIGENCOEFF_CACHE_SIZE
 
 
 def test_label_cache_holds_every_label_up_to_size_17_on_one_vector():

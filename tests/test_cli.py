@@ -180,6 +180,10 @@ BAD_INPUTS = {
                            "--t", "1/0"],
     "singleton_part_in_xi": ["lemma41-scan", "--eta", "2", "--xi", "3,1",
                              "--theta-grid", "10"],
+    "ldp_scan_theta_one": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
+                           "--theta-grid", "1"],
+    "ldp_scan_theta_half": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
+                            "--theta-grid", "1/2"],
 }
 
 
@@ -424,6 +428,24 @@ class TestConfig:
         rc, _, err = run_cli(capsys, "--config", str(cfg), "moment",
                              "--eta", "2", "--theta", "1")
         assert rc == 3
+
+    @pytest.mark.parametrize("where", ["flag", "env", "file"])
+    def test_precision_over_the_ceiling_exits_3_within_a_second(self, tmp_path,
+                                                                 monkeypatch, where):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("precision_bits=8193\n")
+        argv = {"flag": ["--precision", "8193"], "env": [],
+                "file": ["--config", str(cfg)]}[where]
+        if where == "env":
+            monkeypatch.setenv("NEUTRAL_SAMPLER_PRECISION", "1000000")
+        start = time.monotonic()
+        proc = run_cli_process(*argv, "transient", "--eta", "2,1", "--x", "1/2,1/3",
+                               "--theta", "3/2", "--t", "1/10")
+        assert time.monotonic() - start < 1
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: precision_bits must be in [64, 8192]")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("target", ["missing", "directory"])
     def test_unreadable_config_exits_3(self, tmp_path, target):

@@ -80,6 +80,12 @@ class TestEnumeratePartitions:
         with pytest.raises(EmptyInputError):
             enumerate_partitions(0)
 
+    def test_listing_is_in_canonical_order(self):
+        # build_basis takes the labels of each size in this order, so that
+        # the basis up to a smaller size is a prefix of a larger one.
+        for n in range(1, 21):
+            assert enumerate_partitions(n) == tuple(sorted(enumerate_partitions(n)))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_no_duplicates_and_all_valid(self, n):
         seen = set(enumerate_partitions(n))

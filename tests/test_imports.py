@@ -46,7 +46,6 @@ EXPORTS = {
     "SpectralEvaluator": "transient",
     "TimePoint": "transient",
     "eigenvalue": "transient",
-    "transient_moment": "transient",
     "transient_sampling_probability": "transient",
     "RateFunctionResult": "rates",
     "rate_function": "rates",

@@ -29,13 +29,13 @@ from neutral_sampler.transient import (
     eigenvalue,
     generator_children,
     get_evaluator,
-    transient_moment,
     transient_sampling_probability,
 )
 from conftest import (
     coprime_vectors,
     direct_combine,
     fraction_label_coefficients,
+    label_coefficients,
     projection_eigen_coefficients,
     row_eigen_coefficients,
     thetas,
@@ -69,6 +69,13 @@ class TestTimePoint:
     def test_precision_floor(self):
         with pytest.raises(ValueError):
             TimePoint(1, Fraction(1), precision_bits=32)
+
+    def test_precision_ceiling(self):
+        assert TimePoint(1, Fraction(1), precision_bits=8192).precision_bits == 8192
+        with pytest.raises(ValueError, match=r"8192\], got 8193"):
+            TimePoint(1, Fraction(1), precision_bits=8193)
+        with pytest.raises(ValueError, match=r"8192\], got 8193"):
+            SpectralEvaluator(Fraction(1), 8193)
 
     def test_stationary_sentinel(self):
         assert TimePoint(STATIONARY, Fraction(1)).t is STATIONARY
@@ -138,7 +145,7 @@ class TestTransientMoment:
         # at theta=1, x a point mass, t = ln(2)/2 this is 1/2 + (1/2)(1/2).
         with mpmath.workprec(256):
             tp = TimePoint(mpmath.log(2) / 2, Fraction(1))
-            got = transient_moment(P2, x_point, tp)
+            got = get_evaluator(tp.theta, tp.precision_bits).moment(P2, x_point, tp.t)
             assert abs(got - mpmath.mpf(3) / 4) < mpmath.mpf(2) ** -200
 
     @pytest.mark.parametrize("theta", [Fraction(1), Fraction(10)])
@@ -158,7 +165,8 @@ class TestTransientMoment:
 
     def test_stationary_sentinel_is_exact(self, x_full):
         tp = TimePoint(STATIONARY, Fraction(10))
-        got = transient_moment(IntegerPartition.of(2, 2), x_full, tp)
+        got = get_evaluator(tp.theta, tp.precision_bits).moment(
+            IntegerPartition.of(2, 2), x_full, tp.t)
         assert got == power_sum_moment(IntegerPartition.of(2, 2), Fraction(10))
 
 
@@ -316,9 +324,8 @@ class TestGeneratorIdentities:
     def test_stationary_part_and_t0_sum(self, theta, x):
         # A[0] is the PD(theta) mean; the coefficients sum to phi_label(x).
         x = FrequencyVector.parse(x)
-        ev = SpectralEvaluator(theta)
         for label in LABELS_UP_TO_10:
-            coeffs = ev._label_coefficients(label, x)
+            coeffs = label_coefficients(label, x, theta)
             assert coeffs[0] == power_sum_moment(label, theta), label
             assert sum(coeffs) == power_sum_product(label, x), label
 
@@ -328,9 +335,8 @@ class TestGeneratorIdentities:
 def test_integer_engine_equals_fraction_recursion(theta, x):
     # The integer numerators over D^n H_n give the same Fractions as the
     # recursion that divides by lambda_n - lambda_m at every level.
-    ev = SpectralEvaluator(theta)
     for label in LABELS_UP_TO_10:
-        assert ev._label_coefficients(label, x) == \
+        assert label_coefficients(label, x, theta) == \
             fraction_label_coefficients(label, x, theta), label
 
 
@@ -341,9 +347,8 @@ LABELS_UP_TO_12 = [label for label in monomial_labels(12) if label != EMPTY]
 @pytest.mark.parametrize("theta", [Fraction(37, 4), Fraction(10**8)], ids=str)
 def test_integer_engine_equals_fraction_recursion_up_to_twelve(theta):
     x = FrequencyVector.parse("2/7,1/5,1/9,1/11")
-    ev = SpectralEvaluator(theta)
     for label in LABELS_UP_TO_12:
-        assert ev._label_coefficients(label, x) == \
+        assert label_coefficients(label, x, theta) == \
             fraction_label_coefficients(label, x, theta), label
 
 
