@@ -43,7 +43,6 @@ _MODULE_OF = {
     "lemma41_leading_term": "asymptotics",
     "lemma41_order_scan": "asymptotics",
     "moment_limit_scan": "asymptotics",
-    "weak_limit_point": "asymptotics",
 }
 
 __all__ = sorted(_MODULE_OF)

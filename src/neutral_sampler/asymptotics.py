@@ -15,6 +15,7 @@ from typing import Optional
 import mpmath
 
 from .combinatorics import EMPTY, IntegerPartition
+from .config import SLOPE_SCAN_PRECISION_BITS
 from .moments import check_theta, power_sum_moment
 from .rates import K_SUBLOG, rate_function
 from .records import FrozenRecord
@@ -41,7 +42,8 @@ class RegimeKind(Enum):
 
 
 class RegimeSpec(FrozenRecord):
-    """A small-time scale family t(theta) with its classification parameter."""
+    """One of the paper's small-time scales: its time t(theta), the thetas
+    on which that is a time, and the weak limit of the diffusion there."""
 
     _fields = ("kind", "parameter")
 
@@ -64,59 +66,47 @@ class RegimeSpec(FrozenRecord):
     def sublog(cls) -> "RegimeSpec":
         return cls(RegimeKind.SUBLOG)
 
+    def check_theta(self, theta) -> Fraction:
+        """theta, if t(theta) is a time t >= 0: theta > 0 for c/theta, >= 1
+        for k log(theta)/theta, > e for the sublog family."""
+        theta = Fraction(theta)
+        if self.kind is RegimeKind.PROPORTIONAL:
+            ok, domain = theta > 0, "theta > 0"
+        elif self.kind is RegimeKind.LOGARITHMIC:
+            ok, domain = theta >= 1, "theta >= 1"
+        else:
+            ok, domain = theta > math.e, "theta > e"
+        if not ok:
+            raise ValueError("%s regime needs %s, got theta=%s"
+                             % (self.kind.value, domain, theta))
+        return theta
+
     def time_at(self, theta, precision_bits: int = DEFAULT_PRECISION_BITS):
-        theta = check_theta(theta)
+        theta = self.check_theta(theta)
         with mpmath.workprec(precision_bits):
             th = _to_mpf(theta)
             if self.kind is RegimeKind.PROPORTIONAL:
                 return _to_mpf(self.parameter) / th
-            if self.kind is RegimeKind.LOGARITHMIC:
-                return _to_mpf(self.parameter) * _log_theta(theta, precision_bits) / th
-            # Sublog: the concrete family log(theta) / (theta loglog(theta)).
-            if theta <= math.e:
-                raise ValueError("sublog family needs theta > e")
             log_theta = _log_theta(theta, precision_bits)
+            if self.kind is RegimeKind.LOGARITHMIC:
+                return _to_mpf(self.parameter) * log_theta / th
+            # Sublog: the concrete family log(theta) / (theta loglog(theta)).
             return log_theta / (th * mpmath.log(log_theta))
 
-    def theta_t_limit(self):
-        """lim theta t(theta): the positive parameter c of t = c / theta,
-        else math.inf."""
-        if self.kind is RegimeKind.PROPORTIONAL:
-            return self.parameter
-        return math.inf
-
-
-class LimitPoint(FrozenRecord):
-    """Weak-limit point exp(log_scale) * base, kept exact via homogeneity:
-    phi_omega at the point is e^{|omega| log_scale} phi_omega(base)."""
-
-    _fields = ("base", "log_scale")
-
-    def __init__(self, base: FrequencyVector, log_scale: Fraction = Fraction(0)):
-        self._freeze(base, log_scale)
-
-    def moment(self, omega: IntegerPartition,
-               precision_bits: int = DEFAULT_PRECISION_BITS):
-        exact = power_sum_product(omega, self.base)
-        if self.log_scale == 0:
-            return exact
+    def limit_moment(self, omega: IntegerPartition, x: FrequencyVector,
+                     precision_bits: int = DEFAULT_PRECISION_BITS):
+        """phi_omega at the weak limit from x: e^{-c|omega|/2} phi_omega(x)
+        at t = c/theta (the limit is e^{-c/2} x), else pure dust, exactly."""
+        if self.kind is not RegimeKind.PROPORTIONAL:
+            return power_sum_product(omega, FrequencyVector(()))
+        exact = power_sum_product(omega, x)
         with mpmath.workprec(precision_bits):
-            return _to_mpf(exact) * mpmath.exp(_to_mpf(self.log_scale) * omega.n)
-
-
-def weak_limit_point(x: FrequencyVector, regime: RegimeSpec) -> LimitPoint:
-    """The weak-limit point of the diffusion started at x under the regime."""
-    limit = regime.theta_t_limit()
-    if limit == math.inf:
-        return LimitPoint(FrequencyVector(()))  # pure dust
-    return LimitPoint(x, log_scale=-limit / 2)
+            return _to_mpf(exact) * mpmath.exp(
+                _to_mpf(-self.parameter / 2) * omega.n)
 
 
 class MomentScanRow(FrozenRecord):
     _fields = ("theta", "computed", "predicted", "error")
-
-    def __init__(self, theta: Fraction, computed, predicted, error):
-        self._freeze(theta, computed, predicted, error)
 
 
 def moment_limit_scan(
@@ -126,12 +116,12 @@ def moment_limit_scan(
     theta_grid,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[MomentScanRow]:
-    """Exact transient moments along a theta grid against the predicted limit."""
-    limit_point = weak_limit_point(x, regime)
-    predicted = limit_point.moment(omega, precision_bits)
+    """Exact transient moments along a theta grid against the predicted
+    limit; the whole grid is checked before any point is computed."""
+    thetas = [regime.check_theta(theta) for theta in theta_grid]
+    predicted = regime.limit_moment(omega, x, precision_bits)
     rows = []
-    for theta in theta_grid:
-        theta = check_theta(theta)
+    for theta in thetas:
         t = regime.time_at(theta, precision_bits)
         computed = get_evaluator(theta, precision_bits).moment(omega, x, t)
         with mpmath.workprec(precision_bits):
@@ -188,20 +178,16 @@ def exact_inner(eta: IntegerPartition, xi: Optional[IntegerPartition],
 class OrderScanRow(FrozenRecord):
     _fields = ("theta", "measured_exponent", "constant_ratio")
 
-    def __init__(self, theta: Fraction, measured_exponent: float,
-                 constant_ratio: Fraction):
-        self._freeze(theta, measured_exponent, constant_ratio)
-
 
 def lemma41_order_scan(eta: IntegerPartition, xi: Optional[IntegerPartition],
                        thetas) -> list[OrderScanRow]:
     """For exact v at each theta, the measured theta-exponent
     -log2(v(2 theta)/v(theta)) and the constant ratio v(theta) over the
     predicted leading term (reported, not asserted for nonempty xi: the
-    normalization of the printed recursion is ambiguous)."""
+    normalization of the printed recursion is ambiguous); thetas checked first."""
+    thetas = [check_theta(theta) for theta in thetas]
     rows = []
     for theta in thetas:
-        theta = Fraction(theta)
         v1 = exact_inner(eta, xi, theta)
         v2 = exact_inner(eta, xi, 2 * theta)
         if v1 == 0 or v2 == 0:
@@ -217,10 +203,6 @@ def lemma41_order_scan(eta: IntegerPartition, xi: Optional[IntegerPartition],
 class SlopeScanRow(FrozenRecord):
     _fields = ("theta", "probability", "slope", "abs_error", "underflow")
 
-    def __init__(self, theta: Fraction, probability, slope, abs_error,
-                 underflow: bool):
-        self._freeze(theta, probability, slope, abs_error, underflow)
-
 
 def ldp_slope_scan(
     n: int,
@@ -228,18 +210,19 @@ def ldp_slope_scan(
     k,
     theta_grid,
     x: FrequencyVector,
-    precision_bits: int = 512,
+    precision_bits: int = SLOPE_SCAN_PRECISION_BITS,
 ) -> list[SlopeScanRow]:
     """s(theta) = -log P_n^theta(eta) / log theta along the grid, against
-    the rate-function prediction, for theta > 1; underflowing rows are
-    flagged, not faked."""
+    the rate-function prediction, for theta > 1, all checked before any
+    point; underflowing rows are flagged, not faked."""
     target = rate_function(n, eta, k)
     regime = RegimeSpec.sublog() if Fraction(k) == K_SUBLOG \
         else RegimeSpec.logarithmic(k)
-    thetas = [check_theta(theta) for theta in theta_grid]
+    thetas = [Fraction(theta) for theta in theta_grid]
     for theta in thetas:
         if theta <= 1:  # the speed log(theta) is 0 at 1 and negative below
             raise ValueError("the slope scan needs theta > 1, got theta=%s" % theta)
+    thetas = [regime.check_theta(theta) for theta in thetas]
     rows = []
     for theta in thetas:
         t = regime.time_at(theta, precision_bits)

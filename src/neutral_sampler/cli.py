@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .combinatorics import IntegerPartition
-from .config import load_config
+from .config import SLOPE_SCAN_PRECISION_BITS, load_config
 from .sampling import (
     CapExceededError,
     FrequencyVector,
@@ -198,9 +198,8 @@ def cmd_weak_limit_scan(args, cfg):
     table = [[str(r.theta), fmt_float(r.computed, prec),
               fmt_float(r.predicted, prec), fmt_float(r.error, prec)]
              for r in rows]
-    emit([dict(zip(("theta", "computed", "predicted", "error"), row))
-          for row in table],
-         rows=table, header=["theta", "computed", "predicted", "error"],
+    header = ["theta", "computed", "predicted", "error"]
+    emit([dict(zip(header, row)) for row in table], rows=table, header=header,
          fmt=cfg.output_format, out=args.out)
 
 
@@ -213,9 +212,8 @@ def cmd_lemma41_scan(args, cfg):
     table = [[str(row.theta), "%.6f" % row.measured_exponent,
               "%.6f" % float(row.constant_ratio)]
              for row in lemma41_order_scan(eta, xi, grid)]
-    emit([dict(zip(("theta", "measured_exponent", "constant_ratio"), row))
-          for row in table],
-         rows=table, header=["theta", "measured_exponent", "constant_ratio"],
+    header = ["theta", "measured_exponent", "constant_ratio"]
+    emit([dict(zip(header, row)) for row in table], rows=table, header=header,
          fmt=cfg.output_format, out=args.out)
 
 
@@ -233,7 +231,7 @@ def cmd_ldp_scan(args, cfg):
     eta = IntegerPartition.parse(args.eta)
     x = FrequencyVector.parse(args.x)
     k = parse_rational(args.k)
-    prec = args.precision or 512
+    prec = args.precision or SLOPE_SCAN_PRECISION_BITS
     check_size(args.n, "n", cfg)
     target = rate_function(args.n, eta, k)
     rows = ldp_slope_scan(
@@ -245,10 +243,10 @@ def cmd_ldp_scan(args, cfg):
         else:
             table.append([str(r.theta), fmt_float(r.probability, prec),
                           fmt_float(r.slope, prec), fmt_float(r.abs_error, prec)])
+    header = ["theta", "P", "s", "abs_error"]
     emit({"I": str(target.value), "speed": target.speed,
-          "rows": [dict(zip(("theta", "P", "s", "abs_error"), row))
-                   for row in table]},
-         rows=table, header=["theta", "P", "s", "abs_error"],
+          "rows": [dict(zip(header, row)) for row in table]},
+         rows=table, header=header,
          fmt="csv" if args.out else cfg.output_format, out=args.out)
 
 

@@ -5,12 +5,16 @@ from __future__ import annotations
 import os
 
 from .records import Record
-from .sampling import DEFAULT_MAX_N
 
 PRECISION_ENV_VAR = "NEUTRAL_SAMPLER_PRECISION"
 
-#: Working precision of the float layer unless a run configures another.
+#: Working precision of the float layer unless a run configures another, and
+#: of the slope scans (`ldp-scan` unless --precision is given).
 DEFAULT_PRECISION_BITS = 256
+SLOPE_SCAN_PRECISION_BITS = 512
+
+#: Largest size a sized command takes unless a run configures another.
+DEFAULT_MAX_N = 8
 
 #: Most precision bits a run may ask for: mpf work grows with the precision,
 #: and at this ceiling a 64-point `ldp-scan --n 8` still takes seconds.

@@ -21,9 +21,6 @@ SPEED_THETA_T = "θ·t(θ)"
 class RateFunctionResult(FrozenRecord):
     _fields = ("speed", "value")
 
-    def __init__(self, speed: str, value: Fraction):
-        self._freeze(speed, value)
-
 
 def rate_function(n: int, eta: IntegerPartition, k) -> RateFunctionResult:
     """Rate function of the transient sampling LDP at time scale k log(theta)/theta.

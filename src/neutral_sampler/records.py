@@ -3,8 +3,9 @@
 `dataclasses` imports `inspect` (and with it `ast`, `dis` and `tokenize`),
 about 16 ms of every CLI process on a 2-core Xeon with Python 3.11, so the
 package's value classes take their equality, hash and repr from the field
-names they list instead.  Each class writes its own `__init__`, which keeps
-its signature and its checks.
+names they list instead.  A plain frozen record is built from its field
+values in `_fields` order; only a class with checks or a signature of its
+own writes an `__init__`, and fills its fields through `_freeze`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ class Record:
 class FrozenRecord(Record):
     """A Record that `__init__` fills once through `_freeze`; afterwards no
     attribute can be set or deleted, and the record hashes by its fields."""
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %r" % (type(self).__qualname__, self._fields))
+        self._freeze(*values)
 
     def _freeze(self, *values):
         """Set the fields, in `_fields` order.  Not through `__dict__`, which

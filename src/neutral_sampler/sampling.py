@@ -28,8 +28,9 @@ from .combinatorics import (
 )
 from .records import FrozenRecord
 
-DEFAULT_MAX_N = 8
-DEFAULT_MAX_ATOMS = 10
+#: Caps of the brute-force oracle, whose walk is exponential in the atoms.
+BRUTEFORCE_MAX_N = 8
+BRUTEFORCE_MAX_ATOMS = 10
 
 
 class CapExceededError(ValueError):
@@ -162,12 +163,7 @@ def power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
     return Fraction(value, d**eta.n)
 
 
-def monomial_sampler_bruteforce(
-    eta: IntegerPartition,
-    x: FrequencyVector,
-    max_n: int = DEFAULT_MAX_N,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> Fraction:
+def monomial_sampler_bruteforce(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
     """p^o_eta(x) summed directly over injective maps from sample slots to
     atoms.
 
@@ -179,12 +175,12 @@ def monomial_sampler_bruteforce(
     the lcm of the atoms' denominators, atom i weighs w_i = a_i D and the
     dust D - sum w_i, and the result is total / D^|eta|.
     """
-    if eta.n > max_n:
-        raise CapExceededError("|eta| = %d exceeds cap %d" % (eta.n, max_n))
-    if len(x.atoms) > max_atoms:
-        raise CapExceededError(
-            "%d atoms exceed cap %d" % (len(x.atoms), max_atoms)
-        )
+    if eta.n > BRUTEFORCE_MAX_N:
+        raise CapExceededError("|eta| = %d exceeds cap %d"
+                               % (eta.n, BRUTEFORCE_MAX_N))
+    if len(x.atoms) > BRUTEFORCE_MAX_ATOMS:
+        raise CapExceededError("%d atoms exceed cap %d"
+                               % (len(x.atoms), BRUTEFORCE_MAX_ATOMS))
     d = lcm(*(a.denominator for a in x.atoms))
     weights = [a.numerator * (d // a.denominator) for a in x.atoms]
     dust = d - sum(weights)

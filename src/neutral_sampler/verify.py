@@ -11,6 +11,8 @@ from .basis import build_basis, inner_product
 from .combinatorics import enumerate_partitions
 from .rates import rate_function
 from .sampling import (
+    BRUTEFORCE_MAX_N,
+    CapExceededError,
     FrequencyVector,
     consistency_check,
     monomial_sampler_bruteforce,
@@ -19,37 +21,36 @@ from .sampling import (
     sampling_probability,
 )
 
+#: The suites' fixed inputs: the seed of their random vectors, how many the
+#: oracle suite draws, and the k of the rate-function suite.
+SEED, ORACLE_VECTORS = 20260824, 20
+RATE_FUNCTION_KS = tuple(Fraction(k, 4) for k in (1, 2, 4, 6, 7))
+
 
 def orthogonality_suite(max_size: int = 6, thetas=(Fraction(1, 2), 1, 10)):
-    for theta in thetas:
-        basis = build_basis(max_size, Fraction(theta))
+    for theta in map(Fraction, thetas):
+        basis = build_basis(max_size, theta)
         for i, a in enumerate(basis):
             for b in basis[i + 1:]:
-                ip = inner_product(a.coeffs, b.coeffs, Fraction(theta))
-                yield (
-                    "orthogonality <psi_%s, psi_%s> theta=%s" % (a.label, b.label, theta),
-                    ip == 0,
-                    str(ip),
-                )
+                ip = inner_product(a.coeffs, b.coeffs, theta)
+                yield ("orthogonality <psi_%s, psi_%s> theta=%s" % (a.label, b.label, theta),
+                       ip == 0, str(ip))
 
 
-def oracle_suite(max_size: int = 6, seed: int = 20260824, vectors: int = 20):
-    rng = random.Random(seed)
-    xs = [random_frequency_vector(rng, max_atoms=8) for _ in range(vectors)]
+def oracle_suite(max_size: int = 6):
+    rng = random.Random(SEED)
+    xs = [random_frequency_vector(rng, max_atoms=8) for _ in range(ORACLE_VECTORS)]
     for n in range(1, max_size + 1):
         for eta in enumerate_partitions(n):
             for j, x in enumerate(xs):
                 lhs = monomial_sampler_expansion(eta, x)
                 rhs = monomial_sampler_bruteforce(eta, x)
-                yield (
-                    "oracle eta=%s vector#%d" % (eta, j),
-                    lhs == rhs,
-                    "%s vs %s" % (lhs, rhs),
-                )
+                yield ("oracle eta=%s vector#%d" % (eta, j), lhs == rhs,
+                       "%s vs %s" % (lhs, rhs))
 
 
-def normalization_suite(max_size: int = 6, seed: int = 20260824):
-    rng = random.Random(seed)
+def normalization_suite(max_size: int = 6):
+    rng = random.Random(SEED)
     xs = [
         FrequencyVector.parse("1/2,1/3,1/6"),
         random_frequency_vector(rng, max_atoms=6),
@@ -62,15 +63,12 @@ def normalization_suite(max_size: int = 6, seed: int = 20260824):
                 (sampling_probability(eta, x) for eta in enumerate_partitions(n)),
                 Fraction(0),
             )
-            yield (
-                "normalization n=%d x=(%s) dust=%s" % (n, x, x.dust),
-                total == 1,
-                str(total),
-            )
+            yield ("normalization n=%d x=(%s) dust=%s" % (n, x, x.dust), total == 1,
+                   str(total))
 
 
-def consistency_suite(max_size: int = 6, seed: int = 20260824):
-    rng = random.Random(seed)
+def consistency_suite(max_size: int = 6):
+    rng = random.Random(SEED)
     xs = [random_frequency_vector(rng, max_atoms=6) for _ in range(4)]
     xs.append(random_frequency_vector(rng, max_atoms=6, with_dust=True))
     for n in range(2, max_size + 1):
@@ -80,22 +78,17 @@ def consistency_suite(max_size: int = 6, seed: int = 20260824):
             yield ("consistency n=%d vector#%d" % (n, j), ok, "max residual %s" % worst)
 
 
-def rate_function_suite(max_size: int = 8,
-                        ks=(Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2), Fraction(7, 4))):
+def rate_function_suite(max_size: int = 8):
     for n in range(2, max_size + 1):
         for eta in enumerate_partitions(n):
-            for k in ks:
-                k = Fraction(k)
+            for k in RATE_FUNCTION_KS:
                 got = rate_function(n, eta, k).value
                 if eta.alpha_1 == eta.l:
                     want = Fraction(0)
                 else:
                     want = min(Fraction(n - eta.alpha_1) * k / 2, Fraction(n - eta.l))
-                yield (
-                    "rate-function n=%d eta=(%s) k=%s" % (n, eta, k),
-                    got == want,
-                    "%s vs min-form %s" % (got, want),
-                )
+                yield ("rate-function n=%d eta=(%s) k=%s" % (n, eta, k), got == want,
+                       "%s vs min-form %s" % (got, want))
             # Exact branch agreement at the transition k (where one exists).
             if eta.alpha_1 < eta.l and eta.n > eta.l:
                 density = Fraction(n - eta.alpha_1, eta.l - eta.alpha_1)
@@ -126,7 +119,8 @@ def run_suite(name: str, max_size: int | None = None, theta=None):
     max_size bounds the sizes of every suite run; each keeps its own default
     when it is None.  theta replaces the thetas of the orthogonality suite,
     the only one with a theta.  Arguments a suite cannot take raise
-    ValueError before any row is computed.
+    ValueError before any row is computed, and so does a max_size beyond the
+    brute-force oracle's cap for the oracle suite (CapExceededError).
     """
     if name != "all" and name not in SUITES:
         raise KeyError("unknown suite %r; choose from %s or 'all'"
@@ -142,6 +136,9 @@ def run_suite(name: str, max_size: int | None = None, theta=None):
             if max_size < least:
                 raise ValueError("max size %d is below %d, the least the %s suite "
                                  "takes" % (max_size, least, suite_name))
+        if "oracle" in names and max_size > BRUTEFORCE_MAX_N:
+            raise CapExceededError("max size %d exceeds cap %d of the oracle suite's "
+                                   "brute-force oracle" % (max_size, BRUTEFORCE_MAX_N))
         kwargs["max_size"] = max_size
     if theta is not None:
         kwargs["thetas"] = (Fraction(theta),)

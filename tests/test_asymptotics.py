@@ -1,17 +1,16 @@
-import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from neutral_sampler.asymptotics import (
+    MomentScanRow,
     RegimeSpec,
     exact_inner,
     ldp_slope_scan,
     lemma41_leading_term,
     lemma41_order_scan,
     moment_limit_scan,
-    weak_limit_point,
 )
 from neutral_sampler.combinatorics import EMPTY, IntegerPartition, enumerate_partitions
 from neutral_sampler.rates import (
@@ -27,16 +26,11 @@ P2 = IntegerPartition.of(2)
 P3 = IntegerPartition.of(3)
 
 
+def _no_evaluation(*args):
+    raise AssertionError("a point was evaluated")
+
+
 class TestRegimeSpec:
-    def test_proportional_limit(self):
-        assert RegimeSpec.proportional(3).theta_t_limit() == 3
-
-    def test_logarithmic_limit_is_infinite(self):
-        assert math.isinf(RegimeSpec.logarithmic(Fraction(1, 2)).theta_t_limit())
-
-    def test_sublog_limit_is_infinite(self):
-        assert math.isinf(RegimeSpec.sublog().theta_t_limit())
-
     def test_time_at_proportional(self):
         t = RegimeSpec.proportional(2).time_at(Fraction(4))
         with mpmath.workprec(128):
@@ -51,6 +45,21 @@ class TestRegimeSpec:
         with pytest.raises(ValueError):
             RegimeSpec.sublog().time_at(Fraction(2))
 
+    @pytest.mark.parametrize("regime,theta,domain", [
+        (RegimeSpec.proportional(1), 0, "theta > 0"),
+        (RegimeSpec.logarithmic(1), Fraction(1, 2), "theta >= 1"),
+        (RegimeSpec.sublog(), Fraction(271, 100), "theta > e"),
+    ], ids=["proportional", "logarithmic", "sublog"])
+    def test_check_theta_names_domain_and_theta(self, regime, theta, domain):
+        message = "needs %s, got theta=%s" % (domain, theta)
+        with pytest.raises(ValueError, match=message):
+            regime.check_theta(theta)
+        with pytest.raises(ValueError, match="got theta=%s" % theta):
+            regime.time_at(theta)
+
+    def test_logarithmic_time_is_zero_at_one(self):
+        assert RegimeSpec.logarithmic(1).time_at(1) == 0
+
     def test_nonpositive_parameter_rejected(self):
         with pytest.raises(ValueError):
             RegimeSpec.proportional(0)
@@ -59,23 +68,20 @@ class TestRegimeSpec:
 
 
 class TestWeakLimitPoint:
+    """RegimeSpec.limit_moment: the moment at the weak limit of each scale."""
+
     def test_logarithmic_gives_pure_dust(self, x_full):
-        lp = weak_limit_point(x_full, RegimeSpec.logarithmic(1))
-        assert lp.base.atoms == ()
-        assert lp.moment(P2) == 0
+        assert RegimeSpec.logarithmic(1).limit_moment(P2, x_full) == 0
 
     def test_sublog_gives_pure_dust(self, x_full):
-        lp = weak_limit_point(x_full, RegimeSpec.sublog())
-        assert lp.base.atoms == ()
+        assert RegimeSpec.sublog().limit_moment(P2, x_full) == 0
 
     def test_proportional_shrinks_by_exp(self, x_full):
-        lp = weak_limit_point(x_full, RegimeSpec.proportional(1))
-        assert lp.base == x_full
-        assert lp.log_scale == Fraction(-1, 2)
         with mpmath.workprec(128):
             exact = power_sum_product(P2, x_full)
             want = mpmath.exp(-1) * mpmath.mpf(exact.numerator) / exact.denominator
-            assert abs(lp.moment(P2, 128) - want) < mpmath.mpf(2) ** -100
+            got = RegimeSpec.proportional(1).limit_moment(P2, x_full, 128)
+            assert abs(got - want) < mpmath.mpf(2) ** -100
 
 
 class TestMomentLimitScan:
@@ -90,6 +96,32 @@ class TestMomentLimitScan:
         rows = moment_limit_scan(P3, x_full, RegimeSpec.logarithmic(1),
                                  [Fraction(100), Fraction(1000)], 256)
         assert rows[0].predicted == rows[1].predicted == 0
+
+    @pytest.mark.parametrize("regime,bad", [
+        (RegimeSpec.logarithmic(1), Fraction(1, 2)),
+        (RegimeSpec.sublog(), Fraction(2)),
+        (RegimeSpec.proportional(1), Fraction(0)),
+        (RegimeSpec.proportional(1), Fraction(-1)),
+    ], ids=["logarithmic_below_one", "sublog_below_e", "zero", "negative"])
+    def test_bad_theta_refused_before_any_point(self, regime, bad, x_full,
+                                                monkeypatch):
+        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator",
+                            _no_evaluation)
+        with pytest.raises(ValueError, match="got theta=%s" % bad):
+            moment_limit_scan(P2, x_full, regime, [Fraction(100), bad], 256)
+
+
+class TestScanRows:
+    def test_fields_are_taken_in_order(self):
+        row = MomentScanRow(Fraction(10), 1, 2, 3)
+        assert (row.theta, row.computed, row.predicted, row.error) == (10, 1, 2, 3)
+        assert row == MomentScanRow(Fraction(10), 1, 2, 3)
+
+    @pytest.mark.parametrize("values", [(1, 2, 3), (1, 2, 3, 4, 5)],
+                             ids=["too_few", "too_many"])
+    def test_wrong_number_of_values_refused(self, values):
+        with pytest.raises(TypeError, match="MomentScanRow takes"):
+            MomentScanRow(*values)
 
 
 class TestLemma41LeadingTerm:
@@ -148,6 +180,12 @@ class TestOrderScan:
         # Exact/predicted = theta/(1+theta) -> 1.
         (row,) = lemma41_order_scan(P2, None, self.big_thetas())
         assert abs(row.constant_ratio - 1) < Fraction(1, 100)
+
+    @pytest.mark.parametrize("bad", [Fraction(-1), Fraction(0)])
+    def test_bad_theta_refused_before_any_inner_product(self, bad, monkeypatch):
+        monkeypatch.setattr("neutral_sampler.asymptotics.exact_inner", _no_evaluation)
+        with pytest.raises(ValueError, match="theta must be positive, got %s" % bad):
+            lemma41_order_scan(P3, P2, [Fraction(10) ** 6, bad])
 
     def test_known_cancellation_pair(self):
         # For eta = (2,2) against psi_(3) the projection corrections cancel
@@ -218,12 +256,18 @@ class TestSlopeScan:
     def test_theta_at_most_one_refused_before_any_point(self, grid, x_full,
                                                         monkeypatch):
         # The speed log(theta) is 0 at theta = 1 and negative below it.
-        def evaluate(*args):
-            raise AssertionError("a point was evaluated")
-
-        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator", evaluate)
+        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator",
+                            _no_evaluation)
         with pytest.raises(ValueError, match="theta > 1, got theta=%s" % grid[-1]):
             ldp_slope_scan(2, P2, 1, grid, x_full, 256)
+
+    def test_sublog_theta_below_e_refused_before_any_point(self, x_full,
+                                                           monkeypatch):
+        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator",
+                            _no_evaluation)
+        with pytest.raises(ValueError, match="sublog regime needs theta > e, "
+                                             "got theta=2"):
+            ldp_slope_scan(2, P2, K_SUBLOG, [Fraction(100), Fraction(2)], x_full, 256)
 
     def test_sublog_speed_used(self, x_full):
         rows = ldp_slope_scan(2, P2, K_SUBLOG, [Fraction(100)], x_full, 256)

@@ -1,6 +1,8 @@
 import json
 import os
+import pathlib
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -184,6 +186,19 @@ BAD_INPUTS = {
                            "--theta-grid", "1"],
     "ldp_scan_theta_half": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
                             "--theta-grid", "1/2"],
+    # A theta outside the grid's domain, after a valid one.
+    "logarithmic_theta_below_one": ["weak-limit-scan", "--omega", "2", "--x", "1/2,1/3",
+                                    "--regime", "logarithmic:1",
+                                    "--theta-grid", "10,1/2"],
+    "sublog_theta_below_e": ["weak-limit-scan", "--omega", "2", "--x", "1/2,1/3",
+                             "--regime", "sublog", "--theta-grid", "100,2"],
+    "weak_limit_scan_theta_zero": ["weak-limit-scan", "--omega", "2", "--x", "1/2,1/3",
+                                   "--regime", "proportional:1",
+                                   "--theta-grid", "10,0"],
+    "ldp_scan_sublog_theta_below_e": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "0",
+                                      "--theta-grid", "100,2"],
+    "lemma41_scan_negative_theta": ["lemma41-scan", "--eta", "3", "--xi", "2",
+                                    "--theta-grid", "1e6,-1"],
 }
 
 
@@ -192,7 +207,37 @@ def test_bad_input_exits_2_without_traceback(argv):
     proc = run_cli_process(*argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
+
+
+def _readme_commands():
+    """Every `neutral-sampler ...` line of the README's CLI block, with
+    backslash continuations joined, as an argument list."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]
+    text = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("neutral-sampler ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_cli_block_is_found():
+    assert len(README_COMMANDS) == 10
+    assert ["weak-limit-scan", "--omega", "2", "--x", "1/2,1/3,1/6", "--regime",
+            "proportional:1", "--theta-grid", "1e3:1e6:log"] in README_COMMANDS
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: " ".join(argv))
+def test_readme_example_runs(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "verify":
+        assert proc.stdout.startswith("ok: suite ")
+    else:
+        json.loads(proc.stdout)
 
 
 def test_suite_names_are_verifys_suites():
@@ -393,6 +438,21 @@ class TestVerify:
                             lambda name, **kw: calls.append((name, kw)) or iter(()))
         run_cli(capsys, "verify", "--suite", "all")
         assert calls == [("all", {"max_size": None, "theta": None})]
+
+    def test_size_over_the_oracle_cap_exits_3_before_any_suite(self, capsys,
+                                                                 monkeypatch, tmp_path):
+        # A config may raise max_n past the oracle's cap; --max-size may not.
+        def suite(max_size):
+            raise AssertionError("a suite ran")
+
+        for name, (_, least) in verify.SUITES.items():
+            monkeypatch.setitem(verify.SUITES, name, (suite, least))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_n=10\n")
+        rc, out, err = run_cli(capsys, "--config", str(cfg), "verify",
+                               "--suite", "all", "--max-size", "9")
+        assert rc == 3 and out == ""
+        assert err.startswith("error: max size 9 exceeds cap 8")
 
     def test_all_small_passes(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size", "3")

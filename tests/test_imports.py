@@ -54,7 +54,6 @@ EXPORTS = {
     "lemma41_leading_term": "asymptotics",
     "lemma41_order_scan": "asymptotics",
     "moment_limit_scan": "asymptotics",
-    "weak_limit_point": "asymptotics",
 }
 
 #: Runs `cli.main` on the arguments and reports, on stderr, its exit code

@@ -92,10 +92,10 @@ class TestBruteForce:
 
     def test_caps(self, x_full):
         with pytest.raises(CapExceededError):
-            monomial_sampler_bruteforce(IntegerPartition.of(9), x_full, max_n=8)
+            monomial_sampler_bruteforce(IntegerPartition.of(9), x_full)
         big = FrequencyVector.of(*[Fraction(1, 16)] * 11)
         with pytest.raises(CapExceededError):
-            monomial_sampler_bruteforce(IntegerPartition.of(2), big, max_atoms=10)
+            monomial_sampler_bruteforce(IntegerPartition.of(2), big)
 
 
 class TestExpansion:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from neutral_sampler.sampling import BRUTEFORCE_MAX_N, CapExceededError
 from neutral_sampler.verify import SUITES, run_suite
 
 
@@ -38,3 +39,15 @@ def test_size_a_suite_cannot_take_raises_before_any_row(name, max_size):
 def test_theta_without_a_theta_suite_raises(name):
     with pytest.raises(ValueError, match="theta"):
         run_suite(name, theta=Fraction(2))
+
+
+@pytest.mark.parametrize("name", ["oracle", "all"])
+def test_size_over_the_oracle_cap_raises_before_any_row(name):
+    with pytest.raises(CapExceededError, match="exceeds cap %d" % BRUTEFORCE_MAX_N):
+        run_suite(name, max_size=BRUTEFORCE_MAX_N + 1)
+
+
+def test_size_over_the_oracle_cap_is_taken_by_other_suites():
+    rows = list(run_suite("rate-function", max_size=BRUTEFORCE_MAX_N + 1))
+    assert any("n=%d" % (BRUTEFORCE_MAX_N + 1) in label for label, _, _ in rows)
+    assert all(ok for _, ok, _ in rows)
