@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Optional
 
@@ -16,24 +15,11 @@ import mpmath
 
 from .combinatorics import EMPTY, IntegerPartition
 from .config import SLOPE_SCAN_PRECISION_BITS
-from .moments import check_theta, power_sum_moment
+from .moments import check_min_part, check_theta, power_sum_moment
 from .rates import K_SUBLOG, rate_function
 from .records import FrozenRecord
 from .sampling import FrequencyVector, power_sum_product
 from .transient import DEFAULT_PRECISION_BITS, _to_mpf, get_evaluator
-
-#: Entries in the cache of log(theta), one per (theta, precision): room for
-#: a 64-point theta grid at two precisions.
-LOG_THETA_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=LOG_THETA_CACHE_SIZE)
-def _log_theta(theta: Fraction, precision_bits: int) -> mpmath.mpf:
-    """log(theta) at `precision_bits`, shared by RegimeSpec.time_at and the
-    speed of ldp_slope_scan."""
-    with mpmath.workprec(precision_bits):
-        return mpmath.log(_to_mpf(theta))
-
 
 class RegimeKind(Enum):
     PROPORTIONAL = "proportional"  # t = c / theta
@@ -87,7 +73,7 @@ class RegimeSpec(FrozenRecord):
             th = _to_mpf(theta)
             if self.kind is RegimeKind.PROPORTIONAL:
                 return _to_mpf(self.parameter) / th
-            log_theta = _log_theta(theta, precision_bits)
+            log_theta = mpmath.log(th)
             if self.kind is RegimeKind.LOGARITHMIC:
                 return _to_mpf(self.parameter) * log_theta / th
             # Sublog: the concrete family log(theta) / (theta loglog(theta)).
@@ -117,8 +103,10 @@ def moment_limit_scan(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[MomentScanRow]:
     """Exact transient moments along a theta grid against the predicted
-    limit; the whole grid is checked before any point is computed."""
+    limit; the grid and omega are checked before any point is computed."""
     thetas = [regime.check_theta(theta) for theta in theta_grid]
+    if omega != EMPTY:
+        check_min_part(omega, "omega")
     predicted = regime.limit_moment(omega, x, precision_bits)
     rows = []
     for theta in thetas:
@@ -137,20 +125,14 @@ def _prefactorials(eta: IntegerPartition) -> int:
     return out
 
 
-def _check_min_part(label: IntegerPartition, name: str):
-    """Lemma 4.1 labels have every part >= 2, since phi_1 == 1."""
-    if label.min_part < 2:
-        raise ValueError("%s needs parts >= 2, got %s" % (name, label))
-
-
 def lemma41_leading_term(eta: IntegerPartition, xi: Optional[IntegerPartition],
                          theta) -> Fraction:
     """Predicted leading order of <phi_eta, 1> (xi empty) or <phi_eta, psi_xi>."""
     theta = check_theta(theta)
-    _check_min_part(eta, "eta")
+    check_min_part(eta, "eta")
     if xi is None or xi == EMPTY:
         return Fraction(_prefactorials(eta)) * theta ** -(eta.n - eta.l)
-    _check_min_part(xi, "xi")
+    check_min_part(xi, "xi")
     bracket = Fraction(0)
     for a in eta.parts:
         for b in xi.parts:
@@ -167,7 +149,7 @@ def exact_inner(eta: IntegerPartition, xi: Optional[IntegerPartition],
     theta = check_theta(theta)
     if xi is None or xi == EMPTY:
         return power_sum_moment(eta, theta)
-    _check_min_part(xi, "xi")
+    check_min_part(xi, "xi")
     # Imported here, at the module's one use of psi, so that the scans that
     # need none do not load the basis.
     from .basis import basis_element, inner_product
@@ -234,7 +216,8 @@ def ldp_slope_scan(
             if regime.kind is RegimeKind.SUBLOG:
                 speed = _to_mpf(theta) * t
             else:
-                speed = _log_theta(theta, precision_bits)
+                # Not theta t / k: it moves the last bit of 1 slope in 5.
+                speed = mpmath.log(_to_mpf(theta))
             s = -mpmath.log(p) / speed
             err = abs(s - _to_mpf(target.value))
         rows.append(SlopeScanRow(theta, p, s, err, False))

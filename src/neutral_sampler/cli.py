@@ -246,8 +246,7 @@ def cmd_ldp_scan(args, cfg):
     header = ["theta", "P", "s", "abs_error"]
     emit({"I": str(target.value), "speed": target.speed,
           "rows": [dict(zip(header, row)) for row in table]},
-         rows=table, header=header,
-         fmt="csv" if args.out else cfg.output_format, out=args.out)
+         rows=table, header=header, fmt=cfg.output_format, out=args.out)
 
 
 def run_suite(name: str, **kwargs):
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transient)
 
     p = sub.add_parser("weak-limit-scan", help="transient moments vs weak limit")
-    p.add_argument("--omega", required=True)
+    p.add_argument("--omega", required=True, help="parts >= 2, e.g. 3,2")
     p.add_argument("--x", required=True)
     p.add_argument("--regime", required=True)
     p.add_argument("--theta-grid", required=True)

@@ -205,17 +205,16 @@ def enumerate_set_partitions(l: int, d: int) -> tuple[SetPartition, ...]:
 # Expanding every eta of n = 20 visits 1254 sub-multisets.
 @lru_cache(maxsize=4096)
 def coarsening_weights(
-    multiset: tuple[tuple[int, int], ...], signed: bool
+    multiset: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Sum over the set partitions of a multiset of parts, grouped by the
-    multiset of block sums.
+    """Moebius-weighted sum over the set partitions of a multiset of parts,
+    grouped by the multiset of block sums.
 
     `multiset` holds (part, multiplicity) pairs, largest part first, as
     IntegerPartition.multiplicities gives them.  Returns (block sums,
     weight) pairs, the sums nonincreasing, with zero weights dropped.  A set
-    partition weighs the product over its blocks B of (-1)^(|B|-1) (|B|-1)!
-    when `signed` (the Moebius function of the partition lattice), else 1,
-    so the weight of the unsigned sum counts set partitions.
+    partition weighs the product over its blocks B of (-1)^(|B|-1) (|B|-1)!,
+    the Moebius function of the partition lattice.
 
     Equal parts are indistinguishable, so no set partition is listed: one
     copy of the largest part takes a sub-multiset of the rest into its block,
@@ -235,9 +234,8 @@ def coarsening_weights(
             ways *= comb(c, s)
             if c > s:
                 remainder.append((part, c - s))
-        if signed:
-            ways *= (-1) ** (size - 1) * factorial(size - 1)
-        for sums, weight in coarsening_weights(tuple(remainder), signed):
+        ways *= (-1) ** (size - 1) * factorial(size - 1)
+        for sums, weight in coarsening_weights(tuple(remainder)):
             key = tuple(sorted(sums + (total,), reverse=True))
             out[key] = out.get(key, 0) + ways * weight
     return tuple((k, v) for k, v in out.items() if v != 0)

@@ -217,7 +217,7 @@ def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[IntegerP
     block sums, with block sums equal to 1 dropped because phi_1 == 1.
     """
     coeffs: dict[tuple[int, ...], int] = {}
-    for sums, weight in coarsening_weights(eta.multiplicities, True):
+    for sums, weight in coarsening_weights(eta.multiplicities):
         key = tuple(s for s in sums if s >= 2)
         coeffs[key] = coeffs.get(key, 0) + weight
     return tuple((IntegerPartition._trusted(k), Fraction(v))

@@ -8,8 +8,9 @@ The generator of the neutral diffusion is triangular on power-sum monomials
                 - lambda_n phi_eta,
 
 so E_x phi_eta(X_t) = sum_m A_eta[m] e^{-lambda_m t} with finitely many exact
-rational coefficients, found by recursion on the children of eta (Ethier &
-Kurtz 1981; Griffiths 1979).  No series truncation and no orthogonal basis is
+rational coefficients, found by recursion on moments.generator_children
+(Ethier & Kurtz 1981; Griffiths 1979), whose stationary equation also gives
+A_eta[0] = <phi_eta, 1>.  No series truncation and no orthogonal basis is
 involved.
 
 The exact layer runs the recursion in integers, the way the t = 0 layer sums
@@ -41,7 +42,13 @@ import mpmath
 
 from .combinatorics import EMPTY, IntegerPartition, multinomial_constant
 from .config import DEFAULT_PRECISION_BITS, check_precision
-from .moments import check_theta, esf_monomial_moment, power_sum_moment
+from .moments import (
+    check_min_part,
+    check_theta,
+    esf_monomial_moment,
+    generator_children,
+    power_sum_moment,
+)
 from .records import FrozenRecord
 from .sampling import FrequencyVector, expansion_of_monomial_sampler
 
@@ -88,31 +95,6 @@ def eigenvalue(m: int, theta) -> Fraction:
         raise ValueError("the spectral expansion starts at m = 2, got %r" % (m,))
     theta = check_theta(theta)
     return Fraction(m) * (m - 1 + theta) / 2
-
-
-# One entry per label, shared by every theta: room for every label with
-# parts >= 2 up to size 20 (627 of them).
-@lru_cache(maxsize=1024)
-def generator_children(label: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
-    """(zeta, c) pairs with L phi_label = sum c phi_zeta - lambda_n phi_label.
-
-    A part p coalesces within itself with weight C(p, 2) (p -> p - 1), and
-    two parts p, q merge with weight p q (p, q -> p + q - 1); a part that
-    becomes 1 is dropped since phi_1 == 1.  The weights sum to C(n, 2).
-    """
-    parts = label.parts
-    weights: dict[tuple[int, ...], int] = {}
-
-    def add(rest: tuple[int, ...], new: int, weight: int):
-        key = tuple(sorted(rest + (new,) if new >= 2 else rest, reverse=True))
-        weights[key] = weights.get(key, 0) + weight
-
-    for i, p in enumerate(parts):
-        rest = parts[:i] + parts[i + 1:]
-        add(rest, p - 1, p * (p - 1) // 2)
-        for j in range(i, len(rest)):
-            add(rest[:j] + rest[j + 1:], p + rest[j] - 1, p * rest[j])
-    return tuple((IntegerPartition._trusted(k), w) for k, w in weights.items())
 
 
 # Not cached: hashing the vector's Fractions for a lookup costs as much as a rebuild.
@@ -253,8 +235,8 @@ class SpectralEvaluator:
         return {m: Fraction(v, common) for m, v in enumerate(totals) if v}
 
     def _moment_eigencoeffs(self, omega: IntegerPartition, x: FrequencyVector):
-        if omega != EMPTY and omega.min_part < 2:
-            raise ValueError("moment needs parts >= 2, got %s" % (omega,))
+        if omega != EMPTY:
+            check_min_part(omega, "moment")
         return self.eigen_coefficients(((omega, Fraction(1)),), x)
 
     def _sampler_eigencoeffs(self, eta: IntegerPartition, x: FrequencyVector):

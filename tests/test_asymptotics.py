@@ -110,6 +110,21 @@ class TestMomentLimitScan:
         with pytest.raises(ValueError, match="got theta=%s" % bad):
             moment_limit_scan(P2, x_full, regime, [Fraction(100), bad], 256)
 
+    def test_singleton_part_in_omega_refused_before_any_work(self, x_full,
+                                                             monkeypatch):
+        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator",
+                            _no_evaluation)
+        monkeypatch.setattr(RegimeSpec, "limit_moment", _no_evaluation)
+        with pytest.raises(ValueError, match="omega needs parts >= 2, got 2,1"):
+            moment_limit_scan(IntegerPartition.of(2, 1), x_full,
+                              RegimeSpec.proportional(Fraction(3, 2)),
+                              [Fraction(10)], 256)
+
+    def test_empty_omega_is_the_constant_one(self, x_full):
+        rows = moment_limit_scan(EMPTY, x_full, RegimeSpec.proportional(1),
+                                 [Fraction(10)], 256)
+        assert rows[0].computed == rows[0].predicted == 1
+
 
 class TestScanRows:
     def test_fields_are_taken_in_order(self):

@@ -25,16 +25,15 @@ def _bounds(namespace, prefix, module_name=None):
 
 #: Every lru_cache of the package, its evaluators and their exact layer.
 CACHES = {
-    "asymptotics._log_theta",
     "basis.build_basis",
     "combinatorics.coarsening_weights",
     "combinatorics.enumerate_partitions",
     "combinatorics.enumerate_set_partitions",
-    "moments._moment_coefficients",
+    "moments._moment_polynomial",
+    "moments.generator_children",
     "moments.power_sum_moment",
     "sampling.expansion_of_monomial_sampler",
     "transient._exact_layer",
-    "transient.generator_children",
     "transient.get_evaluator",
     "transient.SpectralEvaluator._decay",
     "transient.SpectralEvaluator._rate",

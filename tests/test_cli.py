@@ -199,6 +199,10 @@ BAD_INPUTS = {
                                       "--theta-grid", "100,2"],
     "lemma41_scan_negative_theta": ["lemma41-scan", "--eta", "3", "--xi", "2",
                                     "--theta-grid", "1e6,-1"],
+    "weak_limit_scan_singleton_omega": ["weak-limit-scan", "--omega", "2,1",
+                                        "--x", "1/2,1/3",
+                                        "--regime", "proportional:3/2",
+                                        "--theta-grid", "10"],
 }
 
 
@@ -398,13 +402,24 @@ class TestRateFunction:
 class TestLdpScan:
     def test_csv_out(self, capsys, tmp_path):
         out_file = tmp_path / "scan.csv"
-        rc, _, _ = run_cli(capsys, "ldp-scan", "--n", "2", "--eta", "2",
-                           "--k", "4", "--theta-grid", "10,100",
+        rc, _, _ = run_cli(capsys, "--format", "csv", "ldp-scan", "--n", "2",
+                           "--eta", "2", "--k", "4", "--theta-grid", "10,100",
                            "--out", str(out_file))
         assert rc == 0
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "theta,P,s,abs_error"
         assert len(lines) == 3 and lines[1].startswith("10,")
+
+    def test_out_alone_writes_json(self, capsys, tmp_path):
+        # --format alone picks the format, as on the other scans.
+        out_file = tmp_path / "scan.json"
+        rc, out, _ = run_cli(capsys, "ldp-scan", "--n", "2", "--eta", "2",
+                             "--k", "4", "--theta-grid", "10,100",
+                             "--out", str(out_file))
+        assert rc == 0 and out == ""
+        payload = json.loads(out_file.read_text())
+        assert payload["I"] == "1"
+        assert [row["theta"] for row in payload["rows"]] == ["10", "100"]
 
 
 class TestVerify:

@@ -166,19 +166,12 @@ class TestSetPartitions:
 
 
 class TestCoarseningWeights:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_unsigned_weights_count_set_partitions(self, n):
-        for eta in enumerate_partitions(n):
-            weights = coarsening_weights(eta.multiplicities, False)
-            assert sum(w for _, w in weights) == bell(eta.l)
-            assert all(sum(sums) == n for sums, _ in weights)
-
     @pytest.mark.parametrize("n", range(2, 9))
     def test_moebius_weights_sum_to_zero(self, n):
         # sum over the partition lattice of mu(0, pi) vanishes for l >= 2.
         for eta in enumerate_partitions(n):
             if eta.l >= 2:
-                weights = coarsening_weights(eta.multiplicities, True)
+                weights = coarsening_weights(eta.multiplicities)
                 assert sum(w for _, w in weights) == 0
 
     def test_multiplicities(self):

@@ -14,7 +14,11 @@ from neutral_sampler.combinatorics import (
     enumerate_partitions,
     multinomial_constant,
 )
-from neutral_sampler.moments import esf_monomial_moment, power_sum_moment
+from neutral_sampler.moments import (
+    esf_monomial_moment,
+    generator_children,
+    power_sum_moment,
+)
 from neutral_sampler.sampling import (
     FrequencyVector,
     expansion_of_monomial_sampler,
@@ -27,7 +31,6 @@ from neutral_sampler.transient import (
     TimePoint,
     check_time,
     eigenvalue,
-    generator_children,
     get_evaluator,
     transient_sampling_probability,
 )
