@@ -14,12 +14,12 @@ from typing import Optional
 import mpmath
 
 from .combinatorics import EMPTY, IntegerPartition
-from .config import SLOPE_SCAN_PRECISION_BITS
+from .config import DEFAULT_PRECISION_BITS, SLOPE_SCAN_PRECISION_BITS
 from .moments import check_min_part, check_theta, power_sum_moment
 from .rates import K_SUBLOG, rate_function
 from .records import FrozenRecord
 from .sampling import FrequencyVector, power_sum_product
-from .transient import DEFAULT_PRECISION_BITS, _to_mpf, get_evaluator
+from .transient import _to_mpf, get_evaluator
 
 class RegimeKind(Enum):
     PROPORTIONAL = "proportional"  # t = c / theta
@@ -68,16 +68,20 @@ class RegimeSpec(FrozenRecord):
         return theta
 
     def time_at(self, theta, precision_bits: int = DEFAULT_PRECISION_BITS):
+        return self._time_and_log(theta, precision_bits)[0]
+
+    def _time_and_log(self, theta, precision_bits: int):
+        """(t(theta), log theta), the log None for c/theta, which takes none."""
         theta = self.check_theta(theta)
         with mpmath.workprec(precision_bits):
             th = _to_mpf(theta)
             if self.kind is RegimeKind.PROPORTIONAL:
-                return _to_mpf(self.parameter) / th
+                return _to_mpf(self.parameter) / th, None
             log_theta = mpmath.log(th)
             if self.kind is RegimeKind.LOGARITHMIC:
-                return _to_mpf(self.parameter) * log_theta / th
+                return _to_mpf(self.parameter) * log_theta / th, log_theta
             # Sublog: the concrete family log(theta) / (theta loglog(theta)).
-            return log_theta / (th * mpmath.log(log_theta))
+            return log_theta / (th * mpmath.log(log_theta)), log_theta
 
     def limit_moment(self, omega: IntegerPartition, x: FrequencyVector,
                      precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -166,8 +170,10 @@ def lemma41_order_scan(eta: IntegerPartition, xi: Optional[IntegerPartition],
     """For exact v at each theta, the measured theta-exponent
     -log2(v(2 theta)/v(theta)) and the constant ratio v(theta) over the
     predicted leading term (reported, not asserted for nonempty xi: the
-    normalization of the printed recursion is ambiguous); thetas checked first."""
+    normalization of the printed recursion is ambiguous); eta and the thetas
+    checked first."""
     thetas = [check_theta(theta) for theta in thetas]
+    check_min_part(eta, "eta")
     rows = []
     for theta in thetas:
         v1 = exact_inner(eta, xi, theta)
@@ -207,7 +213,9 @@ def ldp_slope_scan(
     thetas = [regime.check_theta(theta) for theta in thetas]
     rows = []
     for theta in thetas:
-        t = regime.time_at(theta, precision_bits)
+        # The speed is log theta, not theta t / k: that moves the last bit
+        # of 1 slope in 5.
+        t, speed = regime._time_and_log(theta, precision_bits)
         p = get_evaluator(theta, precision_bits).sampling_probability(eta, x, t)
         with mpmath.workprec(precision_bits):
             if p <= 0:
@@ -215,9 +223,6 @@ def ldp_slope_scan(
                 continue
             if regime.kind is RegimeKind.SUBLOG:
                 speed = _to_mpf(theta) * t
-            else:
-                # Not theta t / k: it moves the last bit of 1 slope in 5.
-                speed = mpmath.log(_to_mpf(theta))
             s = -mpmath.log(p) / speed
             err = abs(s - _to_mpf(target.value))
         rows.append(SlopeScanRow(theta, p, s, err, False))

@@ -87,6 +87,11 @@ def fmt_float(value, precision_bits: int) -> str:
     return mpmath.nstr(value, int(precision_bits * 0.30103) + 2)
 
 
+def exact(field: str, value: Fraction) -> str:
+    """str(value) for an exact output field; one too long to print exits 3."""
+    return str(check_digits(field, value, CapExceededError))
+
+
 def check_size(size: int, what: str, cfg):
     """Refuse a request larger than the configured max_n (exit 3)."""
     if size > cfg.max_n:
@@ -136,8 +141,8 @@ def cmd_sample_prob(args, cfg):
     emit({
         "eta": eta.to_json(),
         "x": x.to_json(),
-        "dust": str(x.dust),
-        "p_exact": str(p),
+        "dust": exact("dust", x.dust),
+        "p_exact": exact("p_exact", p),
         "p_float": float(p),
     }, fmt="json", out=args.out)
 
@@ -150,7 +155,7 @@ def cmd_moment(args, cfg):
     check_size(eta.n + xi.n, "|eta| + |xi|", cfg)
     value = mixed_power_sum_moment(eta, xi, theta)
     emit({"eta": eta.to_json(), "xi": args.xi, "theta": str(theta),
-          "value": str(value)}, fmt="json", out=args.out)
+          "value": exact("value", value)}, fmt="json", out=args.out)
 
 
 def cmd_basis(args, cfg):
@@ -158,6 +163,9 @@ def cmd_basis(args, cfg):
     theta = parse_rational(args.theta)
     check_size(args.max_size, "--max-size", cfg)
     basis = build_basis(args.max_size, theta)
+    for el in basis:
+        for value in (el.norm2, *el.coeffs.values()):
+            exact("basis element %s" % el.label, value)
     emit([el.to_json() for el in basis], fmt="json", out=args.out)
 
 
@@ -174,6 +182,8 @@ def cmd_transient(args, cfg):
         t = mpmath.mpf(args.t)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % args.t) from None
+    stationary = exact("stationary_value", ev.stationary_sampling_probability(eta))
+    t0 = exact("t0_value", sampling_probability(eta, x))
     value = ev.sampling_probability(eta, x, t)
     emit({
         "eta": eta.to_json(),
@@ -181,8 +191,8 @@ def cmd_transient(args, cfg):
         "t": args.t,
         "value": fmt_float(value, prec),
         "precision_bits": prec,
-        "stationary_value": str(ev.stationary_sampling_probability(eta)),
-        "t0_value": str(sampling_probability(eta, x)),
+        "stationary_value": stationary,
+        "t0_value": t0,
     }, fmt="json", out=args.out)
 
 
@@ -195,7 +205,7 @@ def cmd_weak_limit_scan(args, cfg):
     check_size(omega.n, "|omega|", cfg)
     rows = moment_limit_scan(
         omega, x, regime, parse_theta_grid(args.theta_grid), prec)
-    table = [[str(r.theta), fmt_float(r.computed, prec),
+    table = [[exact("theta", r.theta), fmt_float(r.computed, prec),
               fmt_float(r.predicted, prec), fmt_float(r.error, prec)]
              for r in rows]
     header = ["theta", "computed", "predicted", "error"]
@@ -209,7 +219,7 @@ def cmd_lemma41_scan(args, cfg):
     xi = IntegerPartition.parse(args.xi) if args.xi is not None else None
     grid = parse_theta_grid(args.theta_grid)
     check_size(eta.n + (xi.n if xi is not None else 0), "|eta| + |xi|", cfg)
-    table = [[str(row.theta), "%.6f" % row.measured_exponent,
+    table = [[exact("theta", row.theta), "%.6f" % row.measured_exponent,
               "%.6f" % float(row.constant_ratio)]
              for row in lemma41_order_scan(eta, xi, grid)]
     header = ["theta", "measured_exponent", "constant_ratio"]
@@ -222,7 +232,8 @@ def cmd_rate_function(args, cfg):
     eta = IntegerPartition.parse(args.eta)
     k = math.inf if args.k == "inf" else parse_rational(args.k)
     result = rate_function(args.n, eta, k)
-    emit({"speed": result.speed, "I": str(result.value)}, fmt="json", out=args.out)
+    emit({"speed": result.speed, "I": exact("I", result.value)}, fmt="json",
+         out=args.out)
 
 
 def cmd_ldp_scan(args, cfg):
@@ -239,12 +250,12 @@ def cmd_ldp_scan(args, cfg):
     table = []
     for r in rows:
         if r.underflow:
-            table.append([str(r.theta), "underflow", "", ""])
+            table.append([exact("theta", r.theta), "underflow", "", ""])
         else:
-            table.append([str(r.theta), fmt_float(r.probability, prec),
+            table.append([exact("theta", r.theta), fmt_float(r.probability, prec),
                           fmt_float(r.slope, prec), fmt_float(r.abs_error, prec)])
     header = ["theta", "P", "s", "abs_error"]
-    emit({"I": str(target.value), "speed": target.speed,
+    emit({"I": exact("I", target.value), "speed": target.speed,
           "rows": [dict(zip(header, row)) for row in table]},
          rows=table, header=header, fmt=cfg.output_format, out=args.out)
 

@@ -1,19 +1,54 @@
-"""Exact Poisson-Dirichlet moments of sampling monomials and power sums.
+"""The exact engine: the generator of the neutral diffusion on power-sum
+monomials, its stationary solution (the Poisson-Dirichlet moments) and its
+transient solution (the eigen-coefficients), in exact arithmetic only.
 
-The power-sum moments solve the stationary equation of the generator of the
-neutral diffusion (Ethier & Kurtz 1981), the one whose children the
-transient expansion recurses on.  All arithmetic is over fractions.Fraction
-at a fixed rational mutation rate theta, so every identity downstream can be
-asserted with zero tolerance.
+The generator is triangular on power-sum monomials (phi_1 == 1):
+
+    L phi_eta = sum_i C(eta_i, 2) phi_{eta_i -> eta_i - 1}
+                + sum_{i<j} eta_i eta_j phi_{eta_i, eta_j -> eta_i + eta_j - 1}
+                - lambda_n phi_eta
+
+(Ethier & Kurtz 1981; Griffiths 1979).  PD(theta) is its stationary law, so
+the power-sum moments solve lambda_n <phi_eta, 1> = sum c <phi_zeta, 1> over
+the children; and E_x phi_eta(X_t) = sum_m A_eta[m] e^{-lambda_m t} with
+finitely many exact rational coefficients, found by recursion on the same
+children.  No series truncation and no orthogonal basis is involved.
+
+The transient recursion runs in integers, the way the t = 0 layer sums over
+D^n.  Write theta = p/q and d(u, m) = (u - m)(q(u + m - 1) + p), so that
+lambda_u - lambda_m = d(u, m) / (2q); let L_u = prod_{m in {0, 2, ..., u-1}}
+d(u, m) and H_n = L_2 ... L_n.  With D the lcm of the atoms' denominators,
+every A_xi[m] with |xi| = n is an integer N_xi[m] over D^n H_n.  A sampler or
+moment sums the numerators of its labels over one common denominator and
+builds one Fraction per m.  The numerators depend on theta and x only, so
+one bounded exact layer per theta serves the float evaluators of every
+precision (transient), and nothing here imports mpmath.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .combinatorics import EMPTY, IntegerPartition
+from .sampling import FrequencyVector
+
+#: Entries per exact layer in the cache of integer numerators, one per
+#: (label, x).  The recursion for one vector visits every label with parts
+#: >= 2 up to its size: 231 up to 16, 297 up to 17 and 627 up to 20.  So the
+#: bound holds all labels up to size 20 on one vector; a smaller bound evicts
+#: children the recursion still needs and recomputes them.
+LABEL_CACHE_SIZE = 1024
+
+#: Entries per exact layer in the cache of (L_n, H_n, ...), one per n, and
+#: per float evaluator in the cache of lambda_m, one per m.
+LEVEL_CACHE_SIZE = 64
+
+#: Exact layers kept, one per theta: as many as transient.get_evaluator
+#: keeps evaluators.
+EXACT_LAYER_CACHE_SIZE = 32
 
 
 def check_theta(theta: Fraction) -> Fraction:
@@ -130,3 +165,102 @@ def power_sum_moment(eta: IntegerPartition, theta) -> Fraction:
 def mixed_power_sum_moment(eta: IntegerPartition, xi: IntegerPartition, theta) -> Fraction:
     """<phi_eta, phi_xi>_theta via concatenation of the two part lists."""
     return power_sum_moment(eta.concat(xi), theta)
+
+
+# Not cached: hashing the vector's Fractions for a lookup costs as much as a rebuild.
+def _atom_table(x: FrequencyVector) -> tuple[int, tuple[int, ...]]:
+    """(D, (a_i D)_i): the lcm D of the atoms' denominators and each atom
+    scaled to an integer, so phi_p(x) = W_p / D^p with W_p = sum_i (a_i D)^p.
+    Built here apart from sampling's power-sum table, so that the t = 0
+    identity sum_m A[m] = phi_label(x) checks one against the other."""
+    d = lcm(*(a.denominator for a in x.atoms))
+    return d, tuple(a.numerator * (d // a.denominator) for a in x.atoms)
+
+
+class ExactLayer:
+    """The integer eigen-coefficients of one theta = p/q, shared by the
+    float evaluators of every precision."""
+
+    def __init__(self, theta: Fraction):
+        self.theta = theta
+        self.label_numerators = lru_cache(maxsize=LABEL_CACHE_SIZE)(
+            self.label_numerators)
+        self.level = lru_cache(maxsize=LEVEL_CACHE_SIZE)(self.level)
+
+    def level(self, n: int) -> tuple[int, int, tuple[int, ...]]:
+        """(L_n, H_n, (2q L_n / d(n, m))_{m < n}), with the factor 0 at
+        m = 1, which is no eigenvalue index; L_u = H_u = 1 for u < 2."""
+        if n < 2:
+            return 1, 1, (0,) * n
+        p, q = self.theta.numerator, self.theta.denominator
+        gaps = [(n - m) * (q * (n + m - 1) + p) if m != 1 else 0 for m in range(n)]
+        l_n = math.prod(g for g in gaps if g)
+        factors = tuple(2 * q * l_n // g if g else 0 for g in gaps)
+        return l_n, self.level(n - 1)[1] * l_n, factors
+
+    def label_numerators(self, label: IntegerPartition,
+                         table: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+        """(N[0], ..., N[n]) with A_label[m] = N[m] / (D^n H_n) at the vector
+        of the atom table (D, weights).
+
+        A child of size s contributes c D^{n-s} (H_{n-1} / H_s) N_child[m]
+        to the sum that 2q L_n / d(n, m) turns into N[m] for m < n; at
+        t = 0 the A[m] sum to phi_label(x) = prod_p W_p / D^n, which fixes
+        N[n] = H_n prod_p W_p - sum_{m<n} N[m]."""
+        n = label.n
+        if n == 0:
+            return (1,)
+        d, weights = table
+        near, far = [0] * n, [0] * n  # children of size n - 1 and n - 2
+        for child, c in generator_children(label):
+            acc = near if child.n == n - 1 else far
+            for m, a in enumerate(self.label_numerators(child, table)):
+                if a:
+                    acc[m] += c * a
+        _, h_n, factors = self.level(n)
+        far_scale = d * self.level(n - 1)[0]
+        out = [f * d * (a + far_scale * b) if f else 0
+               for f, a, b in zip(factors, near, far)]
+        top = h_n
+        for p in label.parts:
+            top *= sum(w**p for w in weights)
+        out.append(top - sum(out))
+        return tuple(out)
+
+    def eigen_coefficients(
+        self, f: tuple[tuple[IntegerPartition, Fraction], ...], x: FrequencyVector
+    ) -> dict[int, Fraction]:
+        """Group E_x f(X_t) for f = sum c_xi phi_xi by eigenvalue index:
+        returns {m: C_m} with C_0 the stationary part, such that
+        E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}, with
+        C_m = sum_xi c_xi A_xi[m] and zeros dropped.
+
+        The numerators of each label size s are summed first, then scaled by
+        D^{top-s} H_top / H_s to the common denominator of the largest label;
+        one Fraction per m divides by it."""
+        table = _atom_table(x)
+        d = table[0]
+        den = lcm(*(c.denominator for _, c in f))
+        by_size: dict[int, list[int]] = {}
+        for xi, c in f:
+            acc = by_size.setdefault(xi.n, [0] * (xi.n + 1))
+            weight = c.numerator * (den // c.denominator)
+            for m, a in enumerate(self.label_numerators(xi, table)):
+                if a:
+                    acc[m] += weight * a
+        top = max(by_size, default=0)
+        totals = [0] * (top + 1)
+        scale = 1
+        for s in range(top, min(by_size, default=0) - 1, -1):
+            for m, a in enumerate(by_size.get(s, ())):
+                if a:
+                    totals[m] += scale * a
+            scale *= d * self.level(s)[0]
+        common = den * d**top * self.level(top)[1]  # den D^top H_top
+        return {m: Fraction(v, common) for m, v in enumerate(totals) if v}
+
+
+@lru_cache(maxsize=EXACT_LAYER_CACHE_SIZE)
+def _exact_layer(theta: Fraction) -> ExactLayer:
+    """The shared exact layer of one theta."""
+    return ExactLayer(theta)

@@ -64,19 +64,19 @@ def rational(text: str) -> Fraction:
         raise ValueError("zero denominator in %r" % text) from None
 
 
-def check_digits(text: str, value: Fraction) -> Fraction:
-    """`value`, parsed from `text`, unless its numerator or denominator has
-    more decimal digits than Python converts to a string
+def check_digits(text: str, value: Fraction, error=ValueError) -> Fraction:
+    """`value`, parsed from `text` or named by it, unless its numerator or
+    denominator has more decimal digits than Python converts to a string
     (sys.get_int_max_str_digits(), 4300 by default), so that the CLI, which
-    echoes its rationals, could not print it."""
+    prints its rationals, could not print it; then `error` is raised."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     big = max(abs(value.numerator), value.denominator)
     # A number of b bits is below 2^b, which is at most 10^limit while
     # b <= 3.32 limit (log2(10) > 3.32); so 10^limit, about 60 us to build,
     # is built only for a number near the limit.
     if limit and big.bit_length() > 3.32 * limit and big >= 10**limit:
-        raise ValueError("%r is too long: a numerator or denominator may have "
-                         "at most %d digits" % (text, limit))
+        raise error("%r is too long: a numerator or denominator may have "
+                    "at most %d digits" % (text, limit))
     return value
 
 
@@ -145,13 +145,6 @@ def _power_sum_table(x: FrequencyVector, k_max: int) -> tuple[int, list[int]]:
         powers = [p * w for p, w in zip(powers, weights)]
         sums.append(sum(powers))
     return d, sums
-
-
-def power_sum(k: int, x: FrequencyVector) -> Fraction:
-    """phi_k(x) = sum_i atoms_i^k for k >= 2; phi_1 == 1 by convention."""
-    if k < 1:
-        raise ValueError("k must be >= 1, got %r" % (k,))
-    return power_sum_product(IntegerPartition((k,)), x)
 
 
 def power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fraction:

@@ -28,9 +28,13 @@ from hypothesis import strategies as st
 
 from neutral_sampler.basis import build_basis, inner_product
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
-from neutral_sampler.moments import generator_children, rising_factorial
+from neutral_sampler.moments import (
+    _atom_table,
+    _exact_layer,
+    generator_children,
+    rising_factorial,
+)
 from neutral_sampler.sampling import FrequencyVector, _power_sum_table
-from neutral_sampler.transient import _atom_table, _exact_layer
 
 
 @lru_cache(maxsize=None)

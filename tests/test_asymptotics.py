@@ -202,6 +202,12 @@ class TestOrderScan:
         with pytest.raises(ValueError, match="theta must be positive, got %s" % bad):
             lemma41_order_scan(P3, P2, [Fraction(10) ** 6, bad])
 
+    @pytest.mark.parametrize("xi", [IntegerPartition.of(3, 2), None], ids=str)
+    def test_eta_refused_by_name_before_any_inner_product(self, xi, monkeypatch):
+        monkeypatch.setattr("neutral_sampler.asymptotics.exact_inner", _no_evaluation)
+        with pytest.raises(ValueError, match=r"^eta needs parts >= 2, got 2,1$"):
+            lemma41_order_scan(IntegerPartition.of(2, 1), xi, [Fraction(10) ** 6])
+
     def test_known_cancellation_pair(self):
         # For eta = (2,2) against psi_(3) the projection corrections cancel
         # the nominal leading term, so the measured order comes out one
@@ -283,6 +289,14 @@ class TestSlopeScan:
         with pytest.raises(ValueError, match="sublog regime needs theta > e, "
                                              "got theta=2"):
             ldp_slope_scan(2, P2, K_SUBLOG, [Fraction(100), Fraction(2)], x_full, 256)
+
+    def test_one_log_of_theta_per_logarithmic_point(self, x_full, monkeypatch):
+        # The regime hands the scan log(theta) with the time it took it for.
+        grid = [10**d for d in (2, 4, 6)]
+        logs, log = [], mpmath.log
+        monkeypatch.setattr(mpmath, "log", lambda v: logs.append(v) or log(v))
+        ldp_slope_scan(2, P2, 1, [Fraction(th) for th in grid], x_full, 512)
+        assert sum(v == th for v in logs for th in grid) == len(grid)
 
     def test_sublog_speed_used(self, x_full):
         rows = ldp_slope_scan(2, P2, K_SUBLOG, [Fraction(100)], x_full, 256)

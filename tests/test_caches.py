@@ -5,14 +5,12 @@ from fractions import Fraction
 
 import neutral_sampler
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_partitions_min2
+from neutral_sampler.moments import LABEL_CACHE_SIZE, ExactLayer, _atom_table
 from neutral_sampler.sampling import FrequencyVector, random_frequency_vector
 from neutral_sampler.transient import (
     DECAY_CACHE_SIZE,
     EIGENCOEFF_CACHE_SIZE,
-    LABEL_CACHE_SIZE,
-    ExactLayer,
     SpectralEvaluator,
-    _atom_table,
 )
 
 
@@ -29,17 +27,17 @@ CACHES = {
     "combinatorics.coarsening_weights",
     "combinatorics.enumerate_partitions",
     "combinatorics.enumerate_set_partitions",
+    "moments._exact_layer",
     "moments._moment_polynomial",
     "moments.generator_children",
     "moments.power_sum_moment",
+    "moments.ExactLayer.label_numerators",
+    "moments.ExactLayer.level",
     "sampling.expansion_of_monomial_sampler",
-    "transient._exact_layer",
     "transient.get_evaluator",
     "transient.SpectralEvaluator._decay",
     "transient.SpectralEvaluator._rate",
     "transient.SpectralEvaluator._sampler_terms",
-    "transient.ExactLayer.label_numerators",
-    "transient.ExactLayer.level",
 }
 
 
@@ -50,7 +48,7 @@ def test_every_cache_is_bounded():
         caches += _bounds(module, info.name, module.__name__)
     ev = SpectralEvaluator(1)
     caches += _bounds(ev, "transient.SpectralEvaluator")
-    caches += _bounds(ev._exact, "transient.ExactLayer")
+    caches += _bounds(ev._exact, "moments.ExactLayer")
     assert sorted(name for name, _ in caches) == sorted(CACHES)
     assert [c for c in caches if c[1] is None] == []
 

@@ -12,7 +12,12 @@ import pytest
 import neutral_sampler
 from neutral_sampler import cli, verify
 from neutral_sampler.cli import main, parse_rational, parse_regime, parse_theta_grid
-from neutral_sampler.sampling import CapExceededError
+from neutral_sampler.combinatorics import IntegerPartition
+from neutral_sampler.sampling import (
+    CapExceededError,
+    FrequencyVector,
+    sampling_probability,
+)
 from fractions import Fraction
 
 
@@ -336,6 +341,46 @@ def test_oversized_theta_grid_exits_3(argv):
     assert proc.returncode == 3
     assert proc.stderr == "error: theta grid has more than 64 points\n"
     assert proc.stdout == ""
+
+
+#: Valid requests whose exact output has more digits than Python prints.
+UNPRINTABLE = {
+    "moment": ["moment", "--eta", "2,2", "--theta", "1e3000"],
+    "basis": ["basis", "--max-size", "4", "--theta", "1e600"],
+    "sample_prob": ["sample-prob", "--eta", "8", "--x", "1/" + "7" * 700],
+    "transient": ["transient", "--eta", "3,3,2", "--x", "1/2,1/3",
+                  "--theta", "1e4000", "--t", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", UNPRINTABLE.values(), ids=UNPRINTABLE.keys())
+def test_unprintable_exact_output_exits_3_with_one_error_line(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and "is too long" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+def _no_combine(*args):
+    raise AssertionError("the float combine ran")
+
+
+def test_transient_checks_its_exact_fields_before_the_combine(capsys, monkeypatch):
+    monkeypatch.setattr("neutral_sampler.transient.SpectralEvaluator."
+                        "sampling_probability", _no_combine)
+    rc, out, err = run_cli(capsys, *UNPRINTABLE["transient"])
+    assert (rc, out) == (3, "")
+    assert err == ("error: 'stationary_value' is too long: a numerator or "
+                   "denominator may have at most %d digits\n"
+                   % sys.get_int_max_str_digits())
+
+
+def test_long_exact_output_within_the_limit_still_prints(capsys):
+    x = "1/" + "7" * 700
+    rc, out, _ = run_cli(capsys, "sample-prob", "--eta", "5,3", "--x", x)
+    want = sampling_probability(IntegerPartition.of(5, 3), FrequencyVector.parse(x))
+    assert rc == 0 and json.loads(out)["p_exact"] == str(want)
 
 
 UNWRITABLE_OUT = {

@@ -40,7 +40,6 @@ EXPORTS = {
     "consistency_check": "sampling",
     "monomial_sampler_bruteforce": "sampling",
     "monomial_sampler_expansion": "sampling",
-    "power_sum": "sampling",
     "sampling_probability": "sampling",
     "STATIONARY": "transient",
     "SpectralEvaluator": "transient",

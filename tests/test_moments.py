@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -5,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neutral_sampler
 from neutral_sampler.combinatorics import (
     EMPTY,
     IntegerPartition,
@@ -16,6 +21,8 @@ from neutral_sampler.moments import (
     power_sum_moment,
     rising_factorial,
 )
+from neutral_sampler.sampling import FrequencyVector
+from neutral_sampler.transient import get_evaluator
 from conftest import bell_power_sum_moment, coarsenings, thetas
 
 THETA_GRID = [Fraction(1, 2), 1, 2, 4, 8, 16, 32]
@@ -131,3 +138,94 @@ class TestMixedPowerSumMoment:
             for b in etas:
                 assert mixed_power_sum_moment(a, b, theta) == \
                     mixed_power_sum_moment(b, a, theta)
+
+
+#: Prefix of the programs below: a fresh interpreter in which `import mpmath`
+#: fails, so that they reach the exact layer through `moments` alone.
+_WITHOUT_MPMATH = """
+import json, sys
+sys.modules["mpmath"] = None
+from fractions import Fraction
+from neutral_sampler.combinatorics import enumerate_partitions, multinomial_constant
+from neutral_sampler.moments import _exact_layer
+from neutral_sampler.sampling import (
+    FrequencyVector, expansion_of_monomial_sampler, removal_children)
+
+def sampler(layer, eta, x):
+    const = multinomial_constant(eta)
+    return layer.eigen_coefficients(
+        tuple((xi, const * c) for xi, c in expansion_of_monomial_sampler(eta)), x)
+"""
+
+_VECTORS = ("1/2,1/3,1/6", "2/7,1/5", "")
+
+
+def _run_without_mpmath(program):
+    src = os.path.dirname(os.path.dirname(neutral_sampler.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_MPMATH + program, *_VECTORS],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_exact_layer_equals_the_evaluators_without_mpmath():
+    got = _run_without_mpmath("""
+theta, out = Fraction(29, 3), {}
+layer = _exact_layer(theta)
+for text in sys.argv[1:]:
+    x = FrequencyVector.parse(text)
+    for n in range(1, 7):
+        for eta in enumerate_partitions(n):
+            key = "%s|%s" % (eta, text)
+            out["sampler " + key] = sampler(layer, eta, x)
+            if eta.min_part >= 2:
+                out["moment " + key] = layer.eigen_coefficients(((eta, Fraction(1)),), x)
+print(json.dumps({k: {m: str(c) for m, c in v.items()} for k, v in out.items()}))
+""")
+    ev = get_evaluator(Fraction(29, 3))
+    want = {}
+    for text in _VECTORS:
+        x = FrequencyVector.parse(text)
+        for n in range(1, 7):
+            for eta in enumerate_partitions(n):
+                want["sampler %s|%s" % (eta, text)] = ev._sampler_eigencoeffs(eta, x)
+                if eta.min_part >= 2:
+                    want["moment %s|%s" % (eta, text)] = ev._moment_eigencoeffs(eta, x)
+    assert got.keys() == want.keys()
+    for key, coeffs in want.items():
+        assert {int(m): Fraction(c) for m, c in got[key].items()} == coeffs, key
+
+
+def test_transient_identities_hold_for_each_eigen_index_without_mpmath():
+    # The e^{-lambda_m t} are linearly independent, so normalization and
+    # Kingman consistency hold for each eigen-coefficient alone: the C_eta[m]
+    # over eta of n sum to [m = 0], and sum_eta w(eta -> xi) C_eta[m] =
+    # C_xi[m] with the weights of removal_children.
+    report = _run_without_mpmath("""
+checks, failures = 0, []
+for theta in (Fraction(1, 2), Fraction(1), Fraction(29, 3)):
+    layer = _exact_layer(theta)
+    for text in sys.argv[1:]:
+        x = FrequencyVector.parse(text)
+        prev = {}
+        for n in range(1, 10):
+            coeffs = {eta: sampler(layer, eta, x) for eta in enumerate_partitions(n)}
+            total, children = {}, {xi: {} for xi in prev}
+            for eta, c in coeffs.items():
+                for m, v in c.items():
+                    total[m] = total.get(m, 0) + v
+                for xi, w in removal_children(eta) if prev else ():
+                    for m, v in c.items():
+                        children[xi][m] = children[xi].get(m, 0) + w * v
+            for key, got, want in [("sum n=%d" % n, total, {0: 1})] + [
+                    ("consistency xi=%s" % xi, children[xi], prev[xi]) for xi in prev]:
+                checks += 1
+                if {m: v for m, v in got.items() if v} != want:
+                    failures.append("%s theta=%s x=(%s)" % (key, theta, text))
+            prev = coeffs
+print(json.dumps({"checks": checks, "failures": failures}))
+""")
+    assert report == {"checks": 675, "failures": []}

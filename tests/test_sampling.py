@@ -18,7 +18,6 @@ from neutral_sampler.sampling import (
     expansion_of_monomial_sampler,
     monomial_sampler_bruteforce,
     monomial_sampler_expansion,
-    power_sum,
     power_sum_product,
     random_frequency_vector,
     sampling_probability,
@@ -61,25 +60,22 @@ class TestFrequencyVector:
 class TestPowerSum:
     def test_pair(self):
         x = FrequencyVector.parse("1/2,1/2")
-        assert power_sum(2, x) == Fraction(1, 2)
+        assert power_sum_product(IntegerPartition.of(2), x) == Fraction(1, 2)
 
     def test_k1_convention(self):
         x = FrequencyVector.parse("1/3")  # dust 2/3
-        assert power_sum(1, x) == 1
+        assert power_sum_product(IntegerPartition.of(1), x) == 1
 
     def test_quartic(self, x_full):
-        assert power_sum(4, x_full) == Fraction(49, 648)
-
-    def test_k0_rejected(self, x_full):
-        with pytest.raises(ValueError):
-            power_sum(0, x_full)
+        assert power_sum_product(IntegerPartition.of(4), x_full) == Fraction(49, 648)
 
 
 class TestBruteForce:
     def test_two_pairs(self, x_full):
         got = monomial_sampler_bruteforce(IntegerPartition.of(2, 2), x_full)
         assert got == Fraction(49, 648)
-        assert got == power_sum(2, x_full) ** 2 - power_sum(4, x_full)
+        assert got == (power_sum_product(IntegerPartition.of(2), x_full) ** 2
+                       - power_sum_product(IntegerPartition.of(4), x_full))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_single_type_point_mass(self, n, x_point):
@@ -102,7 +98,9 @@ class TestExpansion:
     @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (4, 3)])
     def test_two_part_formula(self, a, b, x_full):
         eta = IntegerPartition.of(a, b)
-        expected = power_sum(a, x_full) * power_sum(b, x_full) - power_sum(a + b, x_full)
+        expected = (power_sum_product(IntegerPartition.of(a), x_full)
+                    * power_sum_product(IntegerPartition.of(b), x_full)
+                    - power_sum_product(IntegerPartition.of(a + b), x_full))
         assert monomial_sampler_expansion(eta, x_full) == expected
 
     def test_matches_bruteforce(self, x_full):
