@@ -148,11 +148,14 @@ def cmd_sample_prob(args, cfg):
 
 
 def cmd_moment(args, cfg):
-    from .moments import mixed_power_sum_moment
+    from .moments import check_min_part, mixed_power_sum_moment
     eta = IntegerPartition.parse(args.eta)
     xi = IntegerPartition.parse(args.xi or "")
     theta = parse_rational(args.theta)
     check_size(eta.n + xi.n, "|eta| + |xi|", cfg)
+    for label, name in ((eta, "eta"), (xi, "xi")):
+        if label.parts:
+            check_min_part(label, name)
     value = mixed_power_sum_moment(eta, xi, theta)
     emit({"eta": eta.to_json(), "xi": args.xi, "theta": str(theta),
           "value": exact("value", value)}, fmt="json", out=args.out)
@@ -242,7 +245,7 @@ def cmd_ldp_scan(args, cfg):
     eta = IntegerPartition.parse(args.eta)
     x = FrequencyVector.parse(args.x)
     k = parse_rational(args.k)
-    prec = args.precision or SLOPE_SCAN_PRECISION_BITS
+    prec = cfg.precision_bits
     check_size(args.n, "n", cfg)
     target = rate_function(args.n, eta, k)
     rows = ldp_slope_scan(
@@ -365,11 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    defaults = ({"precision_bits": SLOPE_SCAN_PRECISION_BITS}
+                if args.func is cmd_ldp_scan else None)
     try:
         cfg = load_config(args.config, {
             "precision_bits": args.precision,
             "output_format": args.output_format,
-        })
+        }, defaults)
     except OSError as exc:
         print("error: cannot read --config %r: %s" % (args.config, exc.strerror),
               file=sys.stderr)

@@ -7,7 +7,6 @@ the constant function 1 and sorts before everything.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
@@ -241,11 +240,11 @@ def coarsening_weights(
     return tuple((k, v) for k, v in out.items() if v != 0)
 
 
-def multinomial_constant(eta: IntegerPartition) -> Fraction:
+def multinomial_constant(eta: IntegerPartition) -> int:
     """n! / (eta_1! ... eta_l! alpha_1! ... alpha_n!), an exact integer."""
     denom = 1
     for p in eta.parts:
         denom *= factorial(p)
     for a in eta.alpha:
         denom *= factorial(a)
-    return Fraction(factorial(eta.n), denom)
+    return factorial(eta.n) // denom

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
 from .combinatorics import EMPTY, IntegerPartition
 from .sampling import FrequencyVector
@@ -58,15 +58,18 @@ def check_theta(theta: Fraction) -> Fraction:
     return theta
 
 
+def _rising_numerator(p: int, q: int, n: int) -> int:
+    """prod_{i<n} (p + i q), so that (p/q)_(n) is this over q^n."""
+    return math.prod(p + i * q for i in range(n))
+
+
 def rising_factorial(theta, n: int) -> Fraction:
     """theta_(n) = theta (theta+1) ... (theta+n-1); 1 for n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0, got %r" % (n,))
     theta = Fraction(theta)
-    out = Fraction(1)
-    for i in range(n):
-        out *= theta + i
-    return out
+    p, q = theta.numerator, theta.denominator
+    return Fraction(_rising_numerator(p, q, n), q**n)
 
 
 def esf_monomial_moment(eta: IntegerPartition, theta) -> Fraction:
@@ -156,25 +159,12 @@ def power_sum_moment(eta: IntegerPartition, theta) -> Fraction:
     p, q, n = theta.numerator, theta.denominator, eta.n
     num = sum(c * p**d * q**(n - d)
               for d, c in enumerate(_moment_polynomial(eta)))
-    den = 1
-    for i in range(n):
-        den *= p + i * q
-    return Fraction(num, den)
+    return Fraction(num, _rising_numerator(p, q, n))
 
 
 def mixed_power_sum_moment(eta: IntegerPartition, xi: IntegerPartition, theta) -> Fraction:
     """<phi_eta, phi_xi>_theta via concatenation of the two part lists."""
     return power_sum_moment(eta.concat(xi), theta)
-
-
-# Not cached: hashing the vector's Fractions for a lookup costs as much as a rebuild.
-def _atom_table(x: FrequencyVector) -> tuple[int, tuple[int, ...]]:
-    """(D, (a_i D)_i): the lcm D of the atoms' denominators and each atom
-    scaled to an integer, so phi_p(x) = W_p / D^p with W_p = sum_i (a_i D)^p.
-    Built here apart from sampling's power-sum table, so that the t = 0
-    identity sum_m A[m] = phi_label(x) checks one against the other."""
-    d = lcm(*(a.denominator for a in x.atoms))
-    return d, tuple(a.numerator * (d // a.denominator) for a in x.atoms)
 
 
 class ExactLayer:
@@ -201,7 +191,7 @@ class ExactLayer:
     def label_numerators(self, label: IntegerPartition,
                          table: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
         """(N[0], ..., N[n]) with A_label[m] = N[m] / (D^n H_n) at the vector
-        of the atom table (D, weights).
+        whose integer form is (D, weights).
 
         A child of size s contributes c D^{n-s} (H_{n-1} / H_s) N_child[m]
         to the sum that 2q L_n / d(n, m) turns into N[m] for m < n; at
@@ -228,26 +218,24 @@ class ExactLayer:
         return tuple(out)
 
     def eigen_coefficients(
-        self, f: tuple[tuple[IntegerPartition, Fraction], ...], x: FrequencyVector
+        self, f: tuple[tuple[IntegerPartition, int], ...], x: FrequencyVector
     ) -> dict[int, Fraction]:
-        """Group E_x f(X_t) for f = sum c_xi phi_xi by eigenvalue index:
-        returns {m: C_m} with C_0 the stationary part, such that
-        E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}, with
+        """Group E_x f(X_t) for f = sum c_xi phi_xi, with integer c_xi, by
+        eigenvalue index: returns {m: C_m} with C_0 the stationary part, such
+        that E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}, with
         C_m = sum_xi c_xi A_xi[m] and zeros dropped.
 
         The numerators of each label size s are summed first, then scaled by
         D^{top-s} H_top / H_s to the common denominator of the largest label;
         one Fraction per m divides by it."""
-        table = _atom_table(x)
+        table = x.integer_form
         d = table[0]
-        den = lcm(*(c.denominator for _, c in f))
         by_size: dict[int, list[int]] = {}
         for xi, c in f:
             acc = by_size.setdefault(xi.n, [0] * (xi.n + 1))
-            weight = c.numerator * (den // c.denominator)
             for m, a in enumerate(self.label_numerators(xi, table)):
                 if a:
-                    acc[m] += weight * a
+                    acc[m] += c * a
         top = max(by_size, default=0)
         totals = [0] * (top + 1)
         scale = 1
@@ -256,7 +244,7 @@ class ExactLayer:
                 if a:
                     totals[m] += scale * a
             scale *= d * self.level(s)[0]
-        common = den * d**top * self.level(top)[1]  # den D^top H_top
+        common = d**top * self.level(top)[1]  # D^top H_top
         return {m: Fraction(v, common) for m, v in enumerate(totals) if v}
 
 

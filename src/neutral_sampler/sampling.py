@@ -97,16 +97,21 @@ class FrequencyVector(FrozenRecord):
         if sum(atoms) > 1:
             raise ValueError("atoms must sum to at most 1: %r" % (atoms,))
         self._freeze(atoms)
+        # (D, (a_i D)_i) with D the lcm of the atoms' denominators, so that
+        # phi_p(x) = sum_i (a_i D)^p / D^p; not a field, so repr is unchanged.
+        d = lcm(*(a.denominator for a in atoms))
+        object.__setattr__(self, "integer_form", (d, tuple(
+            a.numerator * (d // a.denominator) for a in atoms)))
 
     # Every cache lookup keyed by a vector runs these two, so they read the
-    # one field directly.
+    # integer form, which determines the atoms, instead of hashing Fractions.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.atoms == other.atoms
+        return self.integer_form == other.integer_form
 
     def __hash__(self):
-        return hash(self.atoms)
+        return hash(self.integer_form)
 
     @classmethod
     def of(cls, *atoms) -> "FrequencyVector":
@@ -134,11 +139,10 @@ class FrequencyVector(FrozenRecord):
 def _power_sum_table(x: FrequencyVector, k_max: int) -> tuple[int, list[int]]:
     """(D, W) with phi_k(x) = W[k] / D^k for 1 <= k <= k_max.
 
-    D is the lcm of the atoms' denominators and W[k] = sum_i (a_i D)^k is an
-    integer; W[1] = D carries the phi_1 == 1 convention (W[0] is unused).
+    (D, (a_i D)_i) is the vector's integer form and W[k] = sum_i (a_i D)^k;
+    W[1] = D carries the phi_1 == 1 convention (W[0] is unused).
     """
-    d = lcm(*(a.denominator for a in x.atoms))
-    weights = [a.numerator * (d // a.denominator) for a in x.atoms]
+    d, weights = x.integer_form
     sums = [0, d]
     powers = weights
     for _ in range(2, k_max + 1):
@@ -202,7 +206,7 @@ def monomial_sampler_bruteforce(eta: IntegerPartition, x: FrequencyVector) -> Fr
 
 # Room for every eta up to n = 16 (915 of them).
 @lru_cache(maxsize=1024)
-def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[IntegerPartition, Fraction], ...]:
+def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
     """Expansion of p^o_eta over power-sum monomials phi_xi.
 
     Returns (xi, coefficient) pairs where xi has all parts >= 2 or is empty:
@@ -213,7 +217,7 @@ def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[IntegerP
     for sums, weight in coarsening_weights(eta.multiplicities):
         key = tuple(s for s in sums if s >= 2)
         coeffs[key] = coeffs.get(key, 0) + weight
-    return tuple((IntegerPartition._trusted(k), Fraction(v))
+    return tuple((IntegerPartition._trusted(k), v)
                  for k, v in coeffs.items() if v != 0)
 
 
@@ -227,7 +231,7 @@ def monomial_sampler_expansion(eta: IntegerPartition, x: FrequencyVector) -> Fra
         d_powers.append(d_powers[-1] * d)
     total = 0
     for xi, coeff in expansion_of_monomial_sampler(eta):
-        term = coeff.numerator * d_powers[n - xi.n]
+        term = coeff * d_powers[n - xi.n]
         for p in xi.parts:
             term *= sums[p]
         total += term

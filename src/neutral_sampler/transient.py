@@ -101,7 +101,7 @@ class SpectralEvaluator:
     # -- exact layer ---------------------------------------------------
 
     def eigen_coefficients(
-        self, f: tuple[tuple[IntegerPartition, Fraction], ...], x: FrequencyVector
+        self, f: tuple[tuple[IntegerPartition, int], ...], x: FrequencyVector
     ) -> dict[int, Fraction]:
         """{m: C_m} with E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t} for
         f = sum c_xi phi_xi, zeros dropped (ExactLayer.eigen_coefficients)."""
@@ -110,7 +110,7 @@ class SpectralEvaluator:
     def _moment_eigencoeffs(self, omega: IntegerPartition, x: FrequencyVector):
         if omega != EMPTY:
             check_min_part(omega, "moment")
-        return self.eigen_coefficients(((omega, Fraction(1)),), x)
+        return self.eigen_coefficients(((omega, 1),), x)
 
     def _sampler_eigencoeffs(self, eta: IntegerPartition, x: FrequencyVector):
         const = multinomial_constant(eta)

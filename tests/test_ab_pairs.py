@@ -46,3 +46,16 @@ def test_summary_flags_a_median_worse_than_its_bound():
     rps, rss = ab_pairs.summarize(outside, METRICS)
     assert rps["wins"] == 0 and rps["worse_than_bound"]
     assert rss["worse_than_bound"] and not rss["clears_base_iqr"]
+
+
+def test_summary_gives_the_median_per_pair_ratio_beside_the_change_of_medians():
+    # The base median comes from the second pair and the change median from
+    # the third, so the medians read +10 %, while the median pair reads
+    # 22/30 - 1, about -27 %.
+    pairs = _pairs([10, 20, 30], [33, 11, 22], [5, 5, 10], [5, 5, 10])
+    rps, rss = ab_pairs.summarize(pairs, METRICS)
+    assert rps["relative"] == pytest.approx(0.1)
+    assert rps["pair_relative"] == pytest.approx(22 / 30 - 1)
+    assert rss["relative"] == rss["pair_relative"] == 0
+    zero = ab_pairs.summarize(_pairs([0, 0], [1, 2], [0, 0], [0, 0]), METRICS)
+    assert zero[0]["pair_relative"] is None

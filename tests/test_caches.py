@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import neutral_sampler
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_partitions_min2
-from neutral_sampler.moments import LABEL_CACHE_SIZE, ExactLayer, _atom_table
+from neutral_sampler.moments import LABEL_CACHE_SIZE, ExactLayer
 from neutral_sampler.sampling import FrequencyVector, random_frequency_vector
 from neutral_sampler.transient import (
     DECAY_CACHE_SIZE,
@@ -74,8 +74,8 @@ def test_label_cache_holds_every_label_up_to_size_17_on_one_vector():
     # parts >= 2 up to size 17; a bound below that evicts children it still
     # needs, and each one recomputed is a second miss for the same entry.
     layer = ExactLayer(Fraction(1))
-    table = _atom_table(FrequencyVector.of(Fraction(1, 2), Fraction(1, 3),
-                                           Fraction(1, 6)))
+    table = FrequencyVector.of(Fraction(1, 2), Fraction(1, 3),
+                               Fraction(1, 6)).integer_form
     for label in enumerate_partitions_min2(17):
         layer.label_numerators(label, table)
     info = layer.label_numerators.cache_info()

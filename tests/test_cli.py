@@ -208,6 +208,14 @@ BAD_INPUTS = {
                                         "--x", "1/2,1/3",
                                         "--regime", "proportional:3/2",
                                         "--theta-grid", "10"],
+    "moment_singleton_in_xi": ["moment", "--eta", "2", "--xi", "2,1", "--theta", "1"],
+    "moment_singleton_in_eta": ["moment", "--eta", "3,1", "--theta", "1"],
+}
+
+#: The field a refusal names, where the command is given more than one label.
+BAD_INPUT_MESSAGES = {
+    "moment_singleton_in_xi": "error: xi needs parts >= 2, got 2,1\n",
+    "moment_singleton_in_eta": "error: eta needs parts >= 2, got 3,1\n",
 }
 
 
@@ -218,6 +226,14 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name", BAD_INPUT_MESSAGES)
+def test_bad_input_names_the_field_given(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main(BAD_INPUTS[name])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == BAD_INPUT_MESSAGES[name]
 
 
 def _readme_commands():
@@ -533,6 +549,25 @@ class TestConfig:
                              "--theta", "1", "--t", "1")
         assert rc == 0
         assert json.loads(out)["precision_bits"] == 128
+
+    @pytest.mark.parametrize("where", ["env", "file"])
+    def test_ldp_scan_takes_the_configured_precision(self, capsys, tmp_path,
+                                                      monkeypatch, where):
+        # Like every float command: flag > config file > env var, and the
+        # slope scan's own 512 bits only when none of them is set.
+        scan = ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
+                "--theta-grid", "100"]
+        want = {bits: run_cli(capsys, "--precision", bits, *scan)[1]
+                for bits in ("128", "512")}
+        assert run_cli(capsys, *scan)[1] == want["512"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("precision_bits=128\n")
+        if where == "env":
+            monkeypatch.setenv("NEUTRAL_SAMPLER_PRECISION", "128")
+        argv = ["--config", str(cfg)] if where == "file" else []
+        rc, out, _ = run_cli(capsys, *argv, *scan)
+        assert rc == 0 and out == want["128"] != want["512"]
+        assert len(json.loads(out)["rows"][0]["P"]) == 43
 
     @pytest.mark.parametrize("line", ["seed=1", "max_atoms=10"])
     def test_unused_keys_rejected(self, capsys, tmp_path, line):

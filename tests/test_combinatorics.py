@@ -197,3 +197,7 @@ class TestMultinomialConstant:
         for eta in enumerate_partitions(n):
             c = multinomial_constant(eta)
             assert c > 0 and c.denominator == 1
+
+    def test_is_an_int(self):
+        assert all(type(multinomial_constant(eta)) is int
+                   for n in range(1, 7) for eta in enumerate_partitions(n))

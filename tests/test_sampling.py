@@ -56,6 +56,28 @@ class TestFrequencyVector:
         with pytest.raises(ValueError, match="zero denominator"):
             FrequencyVector.parse(text)
 
+    def test_two_spellings_are_one_vector(self):
+        x, y = FrequencyVector.parse("0.5,1/3"), FrequencyVector.parse("1/2,2/6")
+        assert x == y and hash(x) == hash(y)
+        assert x.integer_form == y.integer_form == (6, (3, 2))
+
+    def test_hash_and_equality_hash_no_fraction(self, monkeypatch):
+        x, y = FrequencyVector.parse("1/2,1/3"), FrequencyVector.parse("1/2,1/3")
+        z = FrequencyVector.parse("1/2,1/4")
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was hashed or compared")
+        monkeypatch.setattr(Fraction, "__hash__", refuse)
+        monkeypatch.setattr(Fraction, "__eq__", refuse)
+        assert hash(x) == hash(y)
+        assert x == y and x != z
+
+    def test_repr_str_and_json_show_the_atoms(self):
+        x = FrequencyVector.parse("1/2,1/3")
+        assert repr(x) == "FrequencyVector(atoms=(Fraction(1, 2), Fraction(1, 3)))"
+        assert str(x) == "1/2,1/3"
+        assert x.to_json() == ["1/2", "1/3"]
+
 
 class TestPowerSum:
     def test_pair(self):
@@ -127,7 +149,7 @@ class TestExpansion:
         for eta in enumerate_partitions(n):
             got = dict(expansion_of_monomial_sampler(eta))
             assert got == bell_expansion(eta), eta
-            assert all(type(v) is Fraction for v in got.values())
+            assert all(type(v) is int for v in got.values())
 
 
 @st.composite

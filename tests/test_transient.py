@@ -377,6 +377,22 @@ def test_precisions_share_one_exact_layer():
                 direct_combine(coeffs, theta, t, ev.precision_bits), eta
 
 
+def test_vector_keyed_hit_hashes_no_fraction(monkeypatch):
+    # A second spelling of the vector hits the sampler cache through the
+    # vector's integer form alone.
+    ev = SpectralEvaluator(Fraction(3, 2))
+    eta = IntegerPartition.of(3, 2, 1)
+    want = ev.sampling_probability(eta, FrequencyVector.parse("1/2,1/3"), 0.5)
+    x = FrequencyVector.parse("0.5,2/6")
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was hashed or compared")
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    monkeypatch.setattr(Fraction, "__eq__", refuse)
+    assert ev.sampling_probability(eta, x, 0.5) == want
+    assert ev._sampler_terms.cache_info().hits == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(thetas, coprime_vectors())
 def test_transient_endpoints(theta, x):

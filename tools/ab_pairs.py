@@ -9,10 +9,13 @@ run placed second in a back-to-back pair reads slower whichever commit it is.
 
 Prints every pair as it finishes, then for each end-to-end metric of BASE's
 `BENCHMARK.json`: each side's median and quartiles, the change of the
-medians, the pairs CHANGE won (ties count for neither side), whether the
-median gain exceeds BASE's interquartile range, and whether CHANGE's median
-is worse than BASE's by more than the metric's bound.  The runs write
-nothing into either checkout but its `.bench_out/`.
+medians beside the median of the per-pair change/base ratios, the pairs
+CHANGE won (ties count for neither side), whether the median gain exceeds
+BASE's interquartile range, and whether CHANGE's median is worse than
+BASE's by more than the metric's bound.  Both sides of a pair run back to
+back, so host drift between batches of pairs cancels in the per-pair ratio
+but not in the change of the medians.  The runs write nothing into either
+checkout but its `.bench_out/`.
 """
 
 from __future__ import annotations
@@ -47,11 +50,13 @@ def summarize(pairs: list, metrics: list) -> list:
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
         gain = cmed - bmed if higher else bmed - cmed
+        ratios = [c / b - 1 for b, c in zip(base, change) if b]
         out.append({
             "name": name,
             "base": (bq1, bmed, bq3),
             "change": (cq1, cmed, cq3),
             "relative": (cmed - bmed) / bmed if bmed else None,
+            "pair_relative": statistics.median(ratios) if ratios else None,
             "wins": wins,
             "ties": ties,
             "pairs": len(pairs),
@@ -116,6 +121,8 @@ def main(argv=None) -> int:
         args.workload, args.pairs, args.seed))
     for row in summarize(pairs, metrics):
         rel = "" if row["relative"] is None else " (%+.1f %%)" % (100 * row["relative"])
+        if row["pair_relative"] is not None:
+            rel += ", per pair %+.1f %%" % (100 * row["pair_relative"])
         print("%-16s %s [%s, %s] -> %s [%s, %s]%s; change won %d of %d (%d ties)%s%s" % (
             row["name"], fmt(row["base"][1]), fmt(row["base"][0]), fmt(row["base"][2]),
             fmt(row["change"][1]), fmt(row["change"][0]), fmt(row["change"][2]), rel,
