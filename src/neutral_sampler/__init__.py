@@ -14,7 +14,6 @@ from importlib import import_module
 _MODULE_OF = {
     "EMPTY": "combinatorics",
     "IntegerPartition": "combinatorics",
-    "SetPartition": "combinatorics",
     "enumerate_partitions": "combinatorics",
     "enumerate_set_partitions": "combinatorics",
     "multinomial_constant": "combinatorics",

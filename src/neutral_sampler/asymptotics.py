@@ -1,6 +1,9 @@
 """Small-time weak limits and leading-order inner-product estimates,
 together with the scan machinery that confronts these predictions and the
 rate functions of `rates` with exact finite-theta values.
+
+The Lemma 4.1 scan is exact, so mpmath and the float layer (`transient`) are
+imported only inside the functions that compute times or float values.
 """
 
 from __future__ import annotations
@@ -11,15 +14,12 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-import mpmath
-
 from .combinatorics import EMPTY, IntegerPartition
 from .config import DEFAULT_PRECISION_BITS, SLOPE_SCAN_PRECISION_BITS
-from .moments import check_min_part, check_theta, power_sum_moment
+from .moments import check_min_part, check_theta, ewens_prefactor, power_sum_moment
 from .rates import K_SUBLOG, rate_function
 from .records import FrozenRecord
 from .sampling import FrequencyVector, power_sum_product
-from .transient import _to_mpf, get_evaluator
 
 class RegimeKind(Enum):
     PROPORTIONAL = "proportional"  # t = c / theta
@@ -72,6 +72,8 @@ class RegimeSpec(FrozenRecord):
 
     def _time_and_log(self, theta, precision_bits: int):
         """(t(theta), log theta), the log None for c/theta, which takes none."""
+        import mpmath
+        from .transient import _to_mpf
         theta = self.check_theta(theta)
         with mpmath.workprec(precision_bits):
             th = _to_mpf(theta)
@@ -89,6 +91,8 @@ class RegimeSpec(FrozenRecord):
         at t = c/theta (the limit is e^{-c/2} x), else pure dust, exactly."""
         if self.kind is not RegimeKind.PROPORTIONAL:
             return power_sum_product(omega, FrequencyVector(()))
+        import mpmath
+        from .transient import _to_mpf
         exact = power_sum_product(omega, x)
         with mpmath.workprec(precision_bits):
             return _to_mpf(exact) * mpmath.exp(
@@ -108,6 +112,8 @@ def moment_limit_scan(
 ) -> list[MomentScanRow]:
     """Exact transient moments along a theta grid against the predicted
     limit; the grid and omega are checked before any point is computed."""
+    import mpmath
+    from .transient import _to_mpf, get_evaluator
     thetas = [regime.check_theta(theta) for theta in theta_grid]
     if omega != EMPTY:
         check_min_part(omega, "omega")
@@ -122,20 +128,13 @@ def moment_limit_scan(
     return rows
 
 
-def _prefactorials(eta: IntegerPartition) -> int:
-    out = 1
-    for p in eta.parts:
-        out *= factorial(p - 1)
-    return out
-
-
 def lemma41_leading_term(eta: IntegerPartition, xi: Optional[IntegerPartition],
                          theta) -> Fraction:
     """Predicted leading order of <phi_eta, 1> (xi empty) or <phi_eta, psi_xi>."""
     theta = check_theta(theta)
     check_min_part(eta, "eta")
     if xi is None or xi == EMPTY:
-        return Fraction(_prefactorials(eta)) * theta ** -(eta.n - eta.l)
+        return ewens_prefactor(eta) * theta ** -(eta.n - eta.l)
     check_min_part(xi, "xi")
     bracket = Fraction(0)
     for a in eta.parts:
@@ -143,7 +142,7 @@ def lemma41_leading_term(eta: IntegerPartition, xi: Optional[IntegerPartition],
             bracket += Fraction(factorial(a + b - 1),
                                 factorial(a - 1) * factorial(b - 1))
     bracket -= eta.n * xi.n
-    pre = Fraction(_prefactorials(eta) * _prefactorials(xi))
+    pre = ewens_prefactor(eta) * ewens_prefactor(xi)
     return bracket * pre * theta ** -(eta.n - eta.l + xi.n - xi.l + 1)
 
 
@@ -203,6 +202,8 @@ def ldp_slope_scan(
     """s(theta) = -log P_n^theta(eta) / log theta along the grid, against
     the rate-function prediction, for theta > 1, all checked before any
     point; underflowing rows are flagged, not faked."""
+    import mpmath
+    from .transient import _to_mpf, get_evaluator
     target = rate_function(n, eta, k)
     regime = RegimeSpec.sublog() if Fraction(k) == K_SUBLOG \
         else RegimeSpec.logarithmic(k)

@@ -85,15 +85,14 @@ def build_basis(max_size: int, theta) -> tuple[BasisElement, ...]:
     Row i of L comes from the Gram entries alone:
     L[i][j] = (G[i][j] - sum_{k<j} L[i][k] L[j][k] D_k) / D_j and
     D_i = G[i][i] - sum_{k<i} L[i][k]^2 D_k; then psi_i = phi_i -
-    sum_{j<i} L[i][j] psi_j.  The canonical order makes
-    build_basis(max_size - 1, theta) a prefix, so only the labels of size
-    max_size are added here.
+    sum_{j<i} L[i][j] psi_j.  Each row needs only the rows before it, so
+    build_basis(max_size - 1, theta) is a prefix of the result.
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2, got %r" % (max_size,))
     theta = check_theta(theta)
-    elements = list(build_basis(max_size - 1, theta)) if max_size > 2 else []
-    for label in monomial_labels(max_size)[len(elements):]:
+    elements: list[BasisElement] = []
+    for label in monomial_labels(max_size):
         # ld[j] = L[i][j] D_j = <phi_i, psi_j>, so each step costs one product.
         row: list[Fraction] = []
         ld: list[Fraction] = []

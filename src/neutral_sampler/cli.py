@@ -29,7 +29,7 @@ EXIT_CAP = 3
 #: The suites of `verify --suite` besides "all", sorted: verify.SUITES's
 #: names, written out so that no other command imports verify.
 SUITE_NAMES = ("consistency", "normalization", "oracle", "orthogonality",
-               "rate-function")
+               "rate-function", "transient")
 
 #: Most points a theta grid may have; a longer grid exits 3.
 MAX_THETA_GRID_POINTS = 64

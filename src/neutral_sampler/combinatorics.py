@@ -122,29 +122,6 @@ class IntegerPartition(FrozenRecord):
 EMPTY = IntegerPartition(())
 
 
-class SetPartition(FrozenRecord):
-    """A partition of {1..l} into blocks ordered by their minima."""
-
-    _fields = ("blocks",)
-
-    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
-        if not blocks or any(not b for b in blocks):
-            raise ValueError("blocks must be nonempty")
-        elems = [e for b in blocks for e in b]
-        l = len(elems)
-        if sorted(elems) != list(range(1, l + 1)):
-            raise ValueError("blocks must partition {1..l}: %r" % (blocks,))
-        mins = [b[0] for b in blocks]
-        if mins != sorted(mins):
-            raise ValueError("blocks must be ordered by minima: %r" % (blocks,))
-        self._freeze(blocks)
-
-    @property
-    def d(self) -> int:
-        return len(self.blocks)
-
-
 def _partition_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     """The partitions of n with parts <= cap, in the canonical order."""
     if n == 0:
@@ -171,19 +148,20 @@ def enumerate_partitions_min2(n: int) -> tuple[IntegerPartition, ...]:
 
 
 @lru_cache(maxsize=256)
-def enumerate_set_partitions(l: int, d: int) -> tuple[SetPartition, ...]:
-    """All partitions of {1..l} into exactly d min-ordered blocks."""
+def enumerate_set_partitions(l: int, d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All partitions of {1..l} into exactly d blocks, each a sorted tuple,
+    the blocks ordered by their minima."""
     if l < 1:
         raise EmptyInputError("l must be >= 1, got %r" % (l,))
     if d < 1 or d > l:
         raise ValueError("need 1 <= d <= l, got d=%r l=%r" % (d, l))
 
-    results: list[SetPartition] = []
+    results: list[tuple[tuple[int, ...], ...]] = []
 
     def assign(e: int, blocks: list[list[int]]):
         if e > l:
             if len(blocks) == d:
-                results.append(SetPartition(tuple(tuple(b) for b in blocks)))
+                results.append(tuple(tuple(b) for b in blocks))
             return
         # Opening a new block keeps blocks ordered by minima automatically.
         remaining = l - e + 1

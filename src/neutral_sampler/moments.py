@@ -72,19 +72,19 @@ def rising_factorial(theta, n: int) -> Fraction:
     return Fraction(_rising_numerator(p, q, n), q**n)
 
 
+def ewens_prefactor(eta: IntegerPartition) -> int:
+    """prod_i (eta_i - 1)!, the Ewens sampling formula's factor of eta."""
+    return math.prod(factorial(p - 1) for p in eta.parts)
+
+
 def esf_monomial_moment(eta: IntegerPartition, theta) -> Fraction:
     """Moment of the monomial sampler p^o_eta under PD(theta).
 
     Equals prod_i (eta_i - 1)! * theta^l / theta_(n) by the Ewens sampling
-    formula; valid for any partition with parts >= 1.
+    formula; valid for any partition with parts >= 1 (1 for the empty one).
     """
     theta = check_theta(theta)
-    if eta == EMPTY:
-        return Fraction(1)
-    num = Fraction(1)
-    for p in eta.parts:
-        num *= factorial(p - 1)
-    return num * theta**eta.l / rising_factorial(theta, eta.n)
+    return ewens_prefactor(eta) * theta**eta.l / rising_factorial(theta, eta.n)
 
 
 def check_min_part(label: IntegerPartition, name: str):

@@ -39,11 +39,5 @@ def rate_function(n: int, eta: IntegerPartition, k) -> RateFunctionResult:
         raise ValueError("k must be >= 0, got %s" % (k,))
     if k == K_SUBLOG:
         return RateFunctionResult(SPEED_THETA_T, n_minus_a1 / 2)
-    if eta.alpha_1 == eta.l:  # eta = (1,...,1)
-        return RateFunctionResult(SPEED_LOG_THETA, Fraction(0))
-    if k >= 2:
-        return RateFunctionResult(SPEED_LOG_THETA, n_minus_l)
-    density = n_minus_a1 / (eta.l - eta.alpha_1)
-    if density > Fraction(2, 1) / (2 - k):
-        return RateFunctionResult(SPEED_LOG_THETA, n_minus_a1 * k / 2)
-    return RateFunctionResult(SPEED_LOG_THETA, n_minus_l)
+    # The kink sits at k* = 2 - 2 (l - alpha_1) / (n - alpha_1), below 2.
+    return RateFunctionResult(SPEED_LOG_THETA, min(n_minus_a1 * k / 2, n_minus_l))

@@ -221,6 +221,13 @@ def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[IntegerP
                  for k, v in coeffs.items() if v != 0)
 
 
+def sampler_expansion(eta: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
+    """p_eta = multinomial_constant(eta) p^o_eta over power-sum monomials:
+    the pairs of expansion_of_monomial_sampler, each scaled by the constant."""
+    const = multinomial_constant(eta)
+    return tuple((xi, const * c) for xi, c in expansion_of_monomial_sampler(eta))
+
+
 def monomial_sampler_expansion(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
     """p^o_eta(x) via the alternating set-partition expansion, summed as one
     integer over the common denominator D^|eta|."""

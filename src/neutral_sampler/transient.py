@@ -23,6 +23,7 @@ import mpmath
 from .combinatorics import EMPTY, IntegerPartition, multinomial_constant
 from .config import DEFAULT_PRECISION_BITS, check_precision
 from .moments import (
+    EXACT_LAYER_CACHE_SIZE,
     LEVEL_CACHE_SIZE,
     _exact_layer,
     check_min_part,
@@ -31,7 +32,7 @@ from .moments import (
     power_sum_moment,
 )
 from .records import FrozenRecord
-from .sampling import FrequencyVector, expansion_of_monomial_sampler
+from .sampling import FrequencyVector, sampler_expansion
 
 #: Entries per evaluator in the cache of mpf sampler eigen-coefficients, one
 #: per (eta, x): room for every eta of n <= 9 (96 of them) on two vectors.
@@ -92,7 +93,7 @@ class SpectralEvaluator:
         # every precision share them.
         self._exact = _exact_layer(self.theta)
         # Per evaluator, since the floats depend on the precision; bounded,
-        # since get_evaluator keeps up to 32 evaluators alive.
+        # since get_evaluator keeps up to EXACT_LAYER_CACHE_SIZE evaluators alive.
         self._sampler_terms = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
             self._sampler_terms)
         self._decay = lru_cache(maxsize=DECAY_CACHE_SIZE)(self._decay)
@@ -113,9 +114,7 @@ class SpectralEvaluator:
         return self.eigen_coefficients(((omega, 1),), x)
 
     def _sampler_eigencoeffs(self, eta: IntegerPartition, x: FrequencyVector):
-        const = multinomial_constant(eta)
-        return self.eigen_coefficients(
-            tuple((xi, const * c) for xi, c in expansion_of_monomial_sampler(eta)), x)
+        return self.eigen_coefficients(sampler_expansion(eta), x)
 
     # -- float layer ---------------------------------------------------
 
@@ -167,7 +166,7 @@ class SpectralEvaluator:
         return multinomial_constant(eta) * esf_monomial_moment(eta, self.theta)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=EXACT_LAYER_CACHE_SIZE)
 def get_evaluator(theta, precision_bits: int = DEFAULT_PRECISION_BITS) -> SpectralEvaluator:
     """The shared evaluator of one (theta, precision_bits)."""
     return SpectralEvaluator(theta, precision_bits)

@@ -9,6 +9,7 @@ from itertools import chain
 
 from .basis import build_basis, inner_product
 from .combinatorics import enumerate_partitions
+from .moments import ExactLayer
 from .rates import rate_function
 from .sampling import (
     BRUTEFORCE_MAX_N,
@@ -18,13 +19,18 @@ from .sampling import (
     monomial_sampler_bruteforce,
     monomial_sampler_expansion,
     random_frequency_vector,
+    removal_children,
+    sampler_expansion,
     sampling_probability,
 )
 
 #: The suites' fixed inputs: the seed of their random vectors, how many the
-#: oracle suite draws, and the k of the rate-function suite.
+#: oracle suite draws, the k of the rate-function suite, and the thetas and
+#: vectors (the last pure dust) of the transient suite.
 SEED, ORACLE_VECTORS = 20260824, 20
 RATE_FUNCTION_KS = tuple(Fraction(k, 4) for k in (1, 2, 4, 6, 7))
+TRANSIENT_THETAS = (Fraction(1, 2), Fraction(1), Fraction(29, 3))
+TRANSIENT_VECTORS = ("1/2,1/3,1/6", "2/7,1/5", "")
 
 
 def orthogonality_suite(max_size: int = 6, thetas=(Fraction(1, 2), 1, 10)):
@@ -83,16 +89,12 @@ def rate_function_suite(max_size: int = 8):
         for eta in enumerate_partitions(n):
             for k in RATE_FUNCTION_KS:
                 got = rate_function(n, eta, k).value
-                if eta.alpha_1 == eta.l:
-                    want = Fraction(0)
-                else:
-                    want = min(Fraction(n - eta.alpha_1) * k / 2, Fraction(n - eta.l))
+                want = min(Fraction(n - eta.alpha_1) * k / 2, Fraction(n - eta.l))
                 yield ("rate-function n=%d eta=(%s) k=%s" % (n, eta, k), got == want,
                        "%s vs min-form %s" % (got, want))
-            # Exact branch agreement at the transition k (where one exists).
-            if eta.alpha_1 < eta.l and eta.n > eta.l:
-                density = Fraction(n - eta.alpha_1, eta.l - eta.alpha_1)
-                k_star = 2 - Fraction(2, 1) / density
+            # Exact branch agreement at the kink k* (where one exists).
+            if eta.alpha_1 < eta.l < eta.n:
+                k_star = 2 - Fraction(2 * (eta.l - eta.alpha_1), n - eta.alpha_1)
                 if 0 < k_star < 2:
                     kinked = Fraction(n - eta.alpha_1) * k_star / 2
                     flat = Fraction(n - eta.l)
@@ -103,6 +105,43 @@ def rate_function_suite(max_size: int = 8):
                     )
 
 
+def _eigen_row(label: str, got: dict, want: dict):
+    """The row checking that `got`, zeros dropped, equals `want` ({m: C_m})."""
+    got = {m: v for m, v in got.items() if v}
+
+    def show(coeffs):
+        return ", ".join("C[%d]=%s" % mc for mc in sorted(coeffs.items()))
+    return label, got == want, "%s vs %s" % (show(got), show(want))
+
+
+def transient_suite(max_size: int = 6):
+    """The exact eigen-coefficients C_eta[m] of the transient sampling
+    probabilities, one eigen-index m at a time (the e^{-lambda_m t} are
+    linearly independent): over eta of n they sum to [m = 0], and
+    sum_eta w(eta -> xi) C_eta[m] = C_xi[m] with removal_children's weights."""
+    for theta in TRANSIENT_THETAS:
+        layer = ExactLayer(theta)
+        for x in map(FrequencyVector.parse, TRANSIENT_VECTORS):
+            where = "theta=%s x=(%s)" % (theta, x)
+            prev: dict = {}
+            for n in range(1, max_size + 1):
+                coeffs = {eta: layer.eigen_coefficients(sampler_expansion(eta), x)
+                          for eta in enumerate_partitions(n)}
+                total: dict = {}
+                children: dict = {xi: {} for xi in prev}
+                for eta, c in coeffs.items():
+                    for m, v in c.items():
+                        total[m] = total.get(m, 0) + v
+                    for xi, w in removal_children(eta) if prev else ():
+                        for m, v in c.items():
+                            children[xi][m] = children[xi].get(m, 0) + w * v
+                yield _eigen_row("transient sum n=%d %s" % (n, where), total, {0: 1})
+                for xi, want in prev.items():
+                    yield _eigen_row("transient consistency xi=(%s) %s" % (xi, where),
+                                     children[xi], want)
+                prev = coeffs
+
+
 #: Each suite and its smallest size bound, the least that yields a check.
 SUITES = {
     "orthogonality": (orthogonality_suite, 2),
@@ -110,6 +149,7 @@ SUITES = {
     "normalization": (normalization_suite, 1),
     "consistency": (consistency_suite, 2),
     "rate-function": (rate_function_suite, 2),
+    "transient": (transient_suite, 1),
 }
 
 

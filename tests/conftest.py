@@ -65,7 +65,7 @@ def coarsenings(parts: tuple[int, ...]):
     l = len(parts)
     for d in range(1, l + 1):
         for beta in enumerate_set_partitions(l, d):
-            yield beta, tuple(sum(parts[i - 1] for i in b) for b in beta.blocks)
+            yield beta, tuple(sum(parts[i - 1] for i in b) for b in beta)
 
 
 def bell_expansion(eta: IntegerPartition) -> dict[IntegerPartition, Fraction]:
@@ -75,8 +75,8 @@ def bell_expansion(eta: IntegerPartition) -> dict[IntegerPartition, Fraction]:
         return {eta: Fraction(1)}
     coeffs: dict[IntegerPartition, Fraction] = {}
     for beta, sums in coarsenings(eta.parts):
-        weight = Fraction((-1) ** (eta.l - beta.d))
-        for b in beta.blocks:
+        weight = Fraction((-1) ** (eta.l - len(beta)))
+        for b in beta:
             weight *= factorial(len(b) - 1)
         key = IntegerPartition.of(*(s for s in sums if s >= 2))
         coeffs[key] = coeffs.get(key, Fraction(0)) + weight
@@ -89,7 +89,7 @@ def bell_power_sum_moment(eta: IntegerPartition, theta) -> Fraction:
     theta = Fraction(theta)
     total = Fraction(0)
     for beta, sums in coarsenings(eta.parts):
-        term = theta**beta.d
+        term = theta**len(beta)
         for s in sums:
             term *= factorial(s - 1)
         total += term

@@ -105,14 +105,14 @@ class TestMomentLimitScan:
     ], ids=["logarithmic_below_one", "sublog_below_e", "zero", "negative"])
     def test_bad_theta_refused_before_any_point(self, regime, bad, x_full,
                                                 monkeypatch):
-        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator",
+        monkeypatch.setattr("neutral_sampler.transient.get_evaluator",
                             _no_evaluation)
         with pytest.raises(ValueError, match="got theta=%s" % bad):
             moment_limit_scan(P2, x_full, regime, [Fraction(100), bad], 256)
 
     def test_singleton_part_in_omega_refused_before_any_work(self, x_full,
                                                              monkeypatch):
-        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator",
+        monkeypatch.setattr("neutral_sampler.transient.get_evaluator",
                             _no_evaluation)
         monkeypatch.setattr(RegimeSpec, "limit_moment", _no_evaluation)
         with pytest.raises(ValueError, match="omega needs parts >= 2, got 2,1"):
@@ -252,8 +252,30 @@ class TestRateFunction:
                 want = min(Fraction(n - eta.alpha_1) * k / 2, Fraction(n - eta.l))
                 assert got.value == want, (n, eta, k)
 
+    def test_equals_the_min_form_with_its_speed(self):
+        # Every eta of n <= 12 at k in {0, 1/8, ..., 4, inf}: 9214 pairs.
+        ks = [K_SUBLOG] + [Fraction(j, 8) for j in range(1, 33)] + [K_INFINITE]
+        pairs = 0
+        for n in range(1, 13):
+            for eta in enumerate_partitions(n):
+                singletons = sum(1 for p in eta.parts if p == 1)
+                for k in ks:
+                    if k == 0:
+                        want = (SPEED_THETA_T, Fraction(n - singletons, 2))
+                    elif singletons == len(eta.parts):
+                        want = (SPEED_LOG_THETA, Fraction(0))
+                    elif k == K_INFINITE:
+                        want = (SPEED_LOG_THETA, Fraction(n - len(eta.parts)))
+                    else:
+                        want = (SPEED_LOG_THETA, min(
+                            (n - singletons) * k / 2, Fraction(n - len(eta.parts))))
+                    got = rate_function(n, eta, k)
+                    assert (got.speed, got.value) == want, (eta, k)
+                    pairs += 1
+        assert pairs == 9214
+
     def test_boundary_is_exact(self):
-        # eta = (2,2,1), n = 5: density 2 hits the threshold at k = 1,
+        # eta = (2,2,1), n = 5: the kink k* = 2 - 2 (l - a1) / (n - a1) is 1,
         # where both branches give the same value.
         eta = IntegerPartition.of(2, 2, 1)
         at = rate_function(5, eta, Fraction(1))
@@ -277,14 +299,14 @@ class TestSlopeScan:
     def test_theta_at_most_one_refused_before_any_point(self, grid, x_full,
                                                         monkeypatch):
         # The speed log(theta) is 0 at theta = 1 and negative below it.
-        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator",
+        monkeypatch.setattr("neutral_sampler.transient.get_evaluator",
                             _no_evaluation)
         with pytest.raises(ValueError, match="theta > 1, got theta=%s" % grid[-1]):
             ldp_slope_scan(2, P2, 1, grid, x_full, 256)
 
     def test_sublog_theta_below_e_refused_before_any_point(self, x_full,
                                                            monkeypatch):
-        monkeypatch.setattr("neutral_sampler.asymptotics.get_evaluator",
+        monkeypatch.setattr("neutral_sampler.transient.get_evaluator",
                             _no_evaluation)
         with pytest.raises(ValueError, match="sublog regime needs theta > e, "
                                              "got theta=2"):

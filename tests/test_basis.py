@@ -123,6 +123,22 @@ class TestBuildBasis:
             assert list(large) == oracle[:len(large)]
             assert [el.row for el in large] == rows[:len(large)]
 
+    def test_one_call_builds_every_label_in_one_pass(self):
+        build_basis.cache_clear()
+        build_basis(5, Fraction(7, 3))
+        assert build_basis.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(37, 4)])
+    def test_each_basis_is_a_prefix_of_the_next(self, theta):
+        # Each size built afresh, so no prefix comes from the cache.
+        for n in range(2, 7):
+            build_basis.cache_clear()
+            small = build_basis(n, theta)
+            build_basis.cache_clear()
+            large = build_basis(n + 1, theta)
+            assert large[:len(small)] == small
+            assert [el.row for el in large[:len(small)]] == [el.row for el in small]
+
     def test_row_is_left_out_of_equality_repr_and_json(self):
         el = basis_element(3, Fraction(1), IntegerPartition.of(3))
         bare = BasisElement(el.label, el.theta, el.coeffs, el.norm2)

@@ -25,7 +25,6 @@ STARTUP_MODULES = ("dataclasses", "inspect")
 EXPORTS = {
     "EMPTY": "combinatorics",
     "IntegerPartition": "combinatorics",
-    "SetPartition": "combinatorics",
     "enumerate_partitions": "combinatorics",
     "enumerate_set_partitions": "combinatorics",
     "multinomial_constant": "combinatorics",
@@ -92,12 +91,22 @@ def _modules_after(*argv):
     ("rate-function", "--n", "5", "--eta", "2,2,1", "--k", "1/2"),
     ("verify", "--suite", "oracle", "--max-size", "3"),
     ("verify", "--suite", "rate-function", "--max-size", "3"),
+    ("verify", "--suite", "transient", "--max-size", "3"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_exact_commands_skip_the_float_layer(argv):
     loaded = _modules_after(*argv)
     assert "neutral_sampler.cli" in loaded
     assert loaded.isdisjoint(FLOAT_MODULES)
     assert loaded.isdisjoint(STARTUP_MODULES)
+
+
+@pytest.mark.parametrize("xi", [(), ("--xi", "2")], ids=["without_xi", "with_xi"])
+def test_lemma41_scan_loads_no_float_layer(xi):
+    # The scan is exact: asymptotics loads, but neither mpmath nor transient.
+    loaded = _modules_after("lemma41-scan", "--eta", "3,3", *xi,
+                            "--theta-grid", "1e4:1e6:log")
+    assert "neutral_sampler.asymptotics" in loaded
+    assert loaded.isdisjoint(("mpmath", "neutral_sampler.transient"))
 
 
 #: One invocation of every command.

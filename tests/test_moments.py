@@ -65,6 +65,10 @@ class TestEsfMonomialMoment:
     def test_single_sample(self, theta):
         assert esf_monomial_moment(IntegerPartition.of(1), theta) == 1
 
+    @pytest.mark.parametrize("theta", THETA_GRID)
+    def test_empty_is_one(self, theta):
+        assert esf_monomial_moment(EMPTY, theta) == 1
+
     def test_bad_theta(self):
         with pytest.raises(ValueError):
             esf_monomial_moment(IntegerPartition.of(2), 0)
@@ -146,15 +150,9 @@ _WITHOUT_MPMATH = """
 import json, sys
 sys.modules["mpmath"] = None
 from fractions import Fraction
-from neutral_sampler.combinatorics import enumerate_partitions, multinomial_constant
+from neutral_sampler.combinatorics import enumerate_partitions
 from neutral_sampler.moments import _exact_layer
-from neutral_sampler.sampling import (
-    FrequencyVector, expansion_of_monomial_sampler, removal_children)
-
-def sampler(layer, eta, x):
-    const = multinomial_constant(eta)
-    return layer.eigen_coefficients(
-        tuple((xi, const * c) for xi, c in expansion_of_monomial_sampler(eta)), x)
+from neutral_sampler.sampling import FrequencyVector, sampler_expansion
 """
 
 _VECTORS = ("1/2,1/3,1/6", "2/7,1/5", "")
@@ -180,7 +178,7 @@ for text in sys.argv[1:]:
     for n in range(1, 7):
         for eta in enumerate_partitions(n):
             key = "%s|%s" % (eta, text)
-            out["sampler " + key] = sampler(layer, eta, x)
+            out["sampler " + key] = layer.eigen_coefficients(sampler_expansion(eta), x)
             if eta.min_part >= 2:
                 out["moment " + key] = layer.eigen_coefficients(((eta, Fraction(1)),), x)
 print(json.dumps({k: {m: str(c) for m, c in v.items()} for k, v in out.items()}))
@@ -203,29 +201,12 @@ def test_transient_identities_hold_for_each_eigen_index_without_mpmath():
     # The e^{-lambda_m t} are linearly independent, so normalization and
     # Kingman consistency hold for each eigen-coefficient alone: the C_eta[m]
     # over eta of n sum to [m = 0], and sum_eta w(eta -> xi) C_eta[m] =
-    # C_xi[m] with the weights of removal_children.
+    # C_xi[m] with the weights of removal_children.  The verify suite checks
+    # them for n <= 9 at theta in {1/2, 1, 29/3} on the three vectors.
     report = _run_without_mpmath("""
-checks, failures = 0, []
-for theta in (Fraction(1, 2), Fraction(1), Fraction(29, 3)):
-    layer = _exact_layer(theta)
-    for text in sys.argv[1:]:
-        x = FrequencyVector.parse(text)
-        prev = {}
-        for n in range(1, 10):
-            coeffs = {eta: sampler(layer, eta, x) for eta in enumerate_partitions(n)}
-            total, children = {}, {xi: {} for xi in prev}
-            for eta, c in coeffs.items():
-                for m, v in c.items():
-                    total[m] = total.get(m, 0) + v
-                for xi, w in removal_children(eta) if prev else ():
-                    for m, v in c.items():
-                        children[xi][m] = children[xi].get(m, 0) + w * v
-            for key, got, want in [("sum n=%d" % n, total, {0: 1})] + [
-                    ("consistency xi=%s" % xi, children[xi], prev[xi]) for xi in prev]:
-                checks += 1
-                if {m: v for m, v in got.items() if v} != want:
-                    failures.append("%s theta=%s x=(%s)" % (key, theta, text))
-            prev = coeffs
-print(json.dumps({"checks": checks, "failures": failures}))
+from neutral_sampler.verify import run_suite
+rows = list(run_suite("transient", max_size=9))
+print(json.dumps({"checks": len(rows),
+                  "failures": [label for label, ok, _ in rows if not ok]}))
 """)
     assert report == {"checks": 675, "failures": []}

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from neutral_sampler.sampling import BRUTEFORCE_MAX_N, CapExceededError
+from neutral_sampler.combinatorics import IntegerPartition
+from neutral_sampler.moments import ExactLayer
+from neutral_sampler.sampling import (
+    BRUTEFORCE_MAX_N,
+    CapExceededError,
+    sampler_expansion,
+)
 from neutral_sampler.verify import SUITES, run_suite
 
 
@@ -51,3 +57,33 @@ def test_size_over_the_oracle_cap_is_taken_by_other_suites():
     rows = list(run_suite("rate-function", max_size=BRUTEFORCE_MAX_N + 1))
     assert any("n=%d" % (BRUTEFORCE_MAX_N + 1) in label for label, _, _ in rows)
     assert all(ok for _, ok, _ in rows)
+
+
+def test_transient_suite_runs_216_checks():
+    rows = list(run_suite("transient"))
+    assert len(rows) == 216
+    assert all(ok for _, ok, _ in rows)
+
+
+def test_transient_suite_catches_one_wrong_eigen_coefficient(monkeypatch):
+    # C_2 of the sampler of eta = (2,1) moves by 1/7: the sum over n = 3 and
+    # the consistency of its two children, (2) and (1,1), fail at each of the
+    # 3 thetas on each of the 3 vectors.
+    original = ExactLayer.eigen_coefficients
+    target = sampler_expansion(IntegerPartition.of(2, 1))
+
+    def perturbed(self, f, x):
+        coeffs = original(self, f, x)
+        if f == target:
+            coeffs = dict(coeffs)
+            coeffs[2] = coeffs.get(2, 0) + Fraction(1, 7)
+        return coeffs
+
+    monkeypatch.setattr(ExactLayer, "eigen_coefficients", perturbed)
+    failures = [label for label, ok, _ in run_suite("transient", max_size=3)
+                if not ok]
+    assert len(failures) == 27
+    assert all(label.startswith(("transient sum n=3 ",
+                                 "transient consistency xi=(2) ",
+                                 "transient consistency xi=(1,1) "))
+               for label in failures)
