@@ -46,7 +46,10 @@ def parse_theta_grid(text: str) -> list[Fraction]:
     at most MAX_THETA_GRID_POINTS points.  A log grid's point count is
     checked before the digits of its bounds."""
     if ":" in text:
-        lo_text, hi_text, kind = text.split(":")
+        fields = text.split(":")
+        if len(fields) != 3:
+            raise ValueError("a log grid is lo:hi:log, got %r" % text)
+        lo_text, hi_text, kind = fields
         if kind != "log":
             raise ValueError("only log-spaced grids are supported, got %r" % kind)
         lo, hi = rational(lo_text), rational(hi_text)
@@ -263,14 +266,8 @@ def cmd_ldp_scan(args, cfg):
          rows=table, header=header, fmt=cfg.output_format, out=args.out)
 
 
-def run_suite(name: str, **kwargs):
-    """verify.run_suite, imported on first use so that no other command
-    loads verify."""
-    from . import verify
-    return verify.run_suite(name, **kwargs)
-
-
 def cmd_verify(args, cfg):
+    from .verify import run_suite
     if args.max_size is not None:
         check_size(args.max_size, "--max-size", cfg)
     theta = parse_rational(args.theta) if args.theta is not None else None

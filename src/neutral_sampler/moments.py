@@ -20,9 +20,8 @@ lambda_u - lambda_m = d(u, m) / (2q); let L_u = prod_{m in {0, 2, ..., u-1}}
 d(u, m) and H_n = L_2 ... L_n.  With D the lcm of the atoms' denominators,
 every A_xi[m] with |xi| = n is an integer N_xi[m] over D^n H_n.  A sampler or
 moment sums the numerators of its labels over one common denominator and
-builds one Fraction per m.  The numerators depend on theta and x only, so
-one bounded exact layer per theta serves the float evaluators of every
-precision (transient), and nothing here imports mpmath.
+builds one Fraction per m.  Each float evaluator (transient) owns one
+bounded exact layer, and nothing here imports mpmath.
 """
 
 from __future__ import annotations
@@ -45,10 +44,6 @@ LABEL_CACHE_SIZE = 1024
 #: Entries per exact layer in the cache of (L_n, H_n, ...), one per n, and
 #: per float evaluator in the cache of lambda_m, one per m.
 LEVEL_CACHE_SIZE = 64
-
-#: Exact layers kept, one per theta: as many as transient.get_evaluator
-#: keeps evaluators.
-EXACT_LAYER_CACHE_SIZE = 32
 
 
 def check_theta(theta: Fraction) -> Fraction:
@@ -168,8 +163,7 @@ def mixed_power_sum_moment(eta: IntegerPartition, xi: IntegerPartition, theta) -
 
 
 class ExactLayer:
-    """The integer eigen-coefficients of one theta = p/q, shared by the
-    float evaluators of every precision."""
+    """The integer eigen-coefficients of one theta = p/q."""
 
     def __init__(self, theta: Fraction):
         self.theta = theta
@@ -246,9 +240,3 @@ class ExactLayer:
             scale *= d * self.level(s)[0]
         common = d**top * self.level(top)[1]  # D^top H_top
         return {m: Fraction(v, common) for m, v in enumerate(totals) if v}
-
-
-@lru_cache(maxsize=EXACT_LAYER_CACHE_SIZE)
-def _exact_layer(theta: Fraction) -> ExactLayer:
-    """The shared exact layer of one theta."""
-    return ExactLayer(theta)

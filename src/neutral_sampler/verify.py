@@ -92,17 +92,17 @@ def rate_function_suite(max_size: int = 8):
                 want = min(Fraction(n - eta.alpha_1) * k / 2, Fraction(n - eta.l))
                 yield ("rate-function n=%d eta=(%s) k=%s" % (n, eta, k), got == want,
                        "%s vs min-form %s" % (got, want))
-            # Exact branch agreement at the kink k* (where one exists).
+            # Exact branch agreement at the kink k*, which lies in (0, 2)
+            # exactly when alpha_1 < l < n.
             if eta.alpha_1 < eta.l < eta.n:
                 k_star = 2 - Fraction(2 * (eta.l - eta.alpha_1), n - eta.alpha_1)
-                if 0 < k_star < 2:
-                    kinked = Fraction(n - eta.alpha_1) * k_star / 2
-                    flat = Fraction(n - eta.l)
-                    yield (
-                        "rate-function boundary eta=(%s) k*=%s" % (eta, k_star),
-                        kinked == flat == rate_function(n, eta, k_star).value,
-                        "%s vs %s" % (kinked, flat),
-                    )
+                kinked = Fraction(n - eta.alpha_1) * k_star / 2
+                flat = Fraction(n - eta.l)
+                yield (
+                    "rate-function boundary eta=(%s) k*=%s" % (eta, k_star),
+                    kinked == flat == rate_function(n, eta, k_star).value,
+                    "%s vs %s" % (kinked, flat),
+                )
 
 
 def _eigen_row(label: str, got: dict, want: dict):

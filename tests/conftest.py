@@ -28,11 +28,7 @@ from hypothesis import strategies as st
 
 from neutral_sampler.basis import build_basis, inner_product
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
-from neutral_sampler.moments import (
-    _exact_layer,
-    generator_children,
-    rising_factorial,
-)
+from neutral_sampler.moments import ExactLayer, generator_children, rising_factorial
 from neutral_sampler.sampling import FrequencyVector, _power_sum_table
 
 
@@ -186,7 +182,7 @@ def label_coefficients(label: IntegerPartition, x: FrequencyVector,
     and lambda_0 = 0; A[1] = 0, since no label has size 1.  Not an oracle:
     the library's own integer numerators N[m] of theta's exact layer, each
     divided by D^n H_n, for comparison with the oracles."""
-    layer, table = _exact_layer(Fraction(theta)), x.integer_form
+    layer, table = ExactLayer(Fraction(theta)), x.integer_form
     den = table[0] ** label.n * layer.level(label.n)[1]
     return tuple(Fraction(a, den) for a in layer.label_numerators(label, table))
 

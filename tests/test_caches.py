@@ -1,6 +1,9 @@
 import importlib
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import neutral_sampler
@@ -27,7 +30,6 @@ CACHES = {
     "combinatorics.coarsening_weights",
     "combinatorics.enumerate_partitions",
     "combinatorics.enumerate_set_partitions",
-    "moments._exact_layer",
     "moments._moment_polynomial",
     "moments.generator_children",
     "moments.power_sum_moment",
@@ -91,3 +93,20 @@ def test_decay_cache_holds_at_most_its_bound():
     for i in range(DECAY_CACHE_SIZE + 50):
         ev.moment(IntegerPartition.of(2), x, i / 64)
     assert ev._decay.cache_info().currsize == DECAY_CACHE_SIZE
+
+
+def test_cache_traffic_lists_every_cache():
+    # One transient_grid round of the traffic tool names every cache above;
+    # the decay cache, which this workload's t grid revisits, hits.
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "cache_traffic.py")
+    proc = subprocess.run(
+        [sys.executable, tool, "transient_grid", "--seed", "1", "--rounds", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].endswith(", failed 0")
+    rows = {name: (int(hits), int(misses))
+            for name, hits, misses in (line.split() for line in lines[1:-1])}
+    assert rows.keys() == CACHES
+    assert rows["transient.SpectralEvaluator._decay"][0] > 0

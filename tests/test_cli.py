@@ -210,12 +210,19 @@ BAD_INPUTS = {
                                         "--theta-grid", "10"],
     "moment_singleton_in_xi": ["moment", "--eta", "2", "--xi", "2,1", "--theta", "1"],
     "moment_singleton_in_eta": ["moment", "--eta", "3,1", "--theta", "1"],
+    "log_grid_two_fields": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
+                            "--theta-grid", "1:2"],
+    "log_grid_four_fields": ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
+                             "--theta-grid", "1:2:log:x"],
 }
 
-#: The field a refusal names, where the command is given more than one label.
+#: The field a refusal names, where the command is given more than one
+#: label, and the form a malformed log grid should take.
 BAD_INPUT_MESSAGES = {
     "moment_singleton_in_xi": "error: xi needs parts >= 2, got 2,1\n",
     "moment_singleton_in_eta": "error: eta needs parts >= 2, got 3,1\n",
+    "log_grid_two_fields": "error: a log grid is lo:hi:log, got '1:2'\n",
+    "log_grid_four_fields": "error: a log grid is lo:hi:log, got '1:2:log:x'\n",
 }
 
 
@@ -494,7 +501,7 @@ class TestVerify:
 
     def test_every_failure_reported(self, capsys, monkeypatch):
         rows = [("a", True, ""), ("b", False, "1"), ("c", True, ""), ("d", False, "2")]
-        monkeypatch.setattr(cli, "run_suite", lambda name, **kw: iter(rows))
+        monkeypatch.setattr(verify, "run_suite", lambda name, **kw: iter(rows))
         rc, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
         assert rc == 1
         assert out.splitlines() == ["FAIL b: 1", "FAIL d: 2"]
@@ -502,7 +509,7 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["oracle", "all"])
     def test_max_size_reaches_the_suites(self, capsys, monkeypatch, suite):
         calls = []
-        monkeypatch.setattr(cli, "run_suite",
+        monkeypatch.setattr(verify, "run_suite",
                             lambda name, **kw: calls.append((name, kw)) or iter(()))
         rc, _, _ = run_cli(capsys, "verify", "--suite", suite, "--max-size", "3")
         assert rc == 0
@@ -510,7 +517,7 @@ class TestVerify:
 
     def test_without_flags_each_suite_keeps_its_default(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "run_suite",
+        monkeypatch.setattr(verify, "run_suite",
                             lambda name, **kw: calls.append((name, kw)) or iter(()))
         run_cli(capsys, "verify", "--suite", "all")
         assert calls == [("all", {"max_size": None, "theta": None})]

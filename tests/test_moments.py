@@ -151,7 +151,7 @@ import json, sys
 sys.modules["mpmath"] = None
 from fractions import Fraction
 from neutral_sampler.combinatorics import enumerate_partitions
-from neutral_sampler.moments import _exact_layer
+from neutral_sampler.moments import ExactLayer
 from neutral_sampler.sampling import FrequencyVector, sampler_expansion
 """
 
@@ -172,7 +172,7 @@ def _run_without_mpmath(program):
 def test_exact_layer_equals_the_evaluators_without_mpmath():
     got = _run_without_mpmath("""
 theta, out = Fraction(29, 3), {}
-layer = _exact_layer(theta)
+layer = ExactLayer(theta)
 for text in sys.argv[1:]:
     x = FrequencyVector.parse(text)
     for n in range(1, 7):

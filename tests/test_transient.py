@@ -355,26 +355,43 @@ def test_integer_engine_equals_fraction_recursion_up_to_twelve(theta):
             fraction_label_coefficients(label, x, theta), label
 
 
-def test_precisions_share_one_exact_layer():
-    # The first evaluator builds every (label, x) its samplers reach; the
-    # other precisions only hit, and each still equals the direct combine
-    # of the same Fractions at its own precision.
+def test_each_precision_holds_a_distinct_layer():
+    # get_evaluator keeps one evaluator per (theta, precision_bits), each with
+    # its own exact layer; the layers give the same Fractions, and each
+    # evaluator equals the direct combine of them at its own precision.
     theta, x, t = Fraction(1013, 29), FrequencyVector.parse("2/7,1/5,1/9,1/11"), 0.5
     evs = [get_evaluator(theta, bits) for bits in (64, 256, 512)]
-    layer = evs[0]._exact
-    assert all(ev._exact is layer for ev in evs)
-    misses = []
+    assert len({id(ev._exact) for ev in evs}) == 3
     for ev in evs:
         for eta in ETAS_UP_TO_7:
             ev.sampling_probability(eta, x, t)
-        misses.append(layer.label_numerators.cache_info().misses)
-    assert misses == [len(MOMENT_LABELS_UP_TO_7)] * 3
+    assert [ev._exact.label_numerators.cache_info().misses for ev in evs] == \
+        [len(MOMENT_LABELS_UP_TO_7)] * 3
     for eta in ETAS_UP_TO_7:
         coeffs = evs[0]._sampler_eigencoeffs(eta, x)
         for ev in evs:
             assert ev._sampler_eigencoeffs(eta, x) == coeffs, eta
             assert ev.sampling_probability(eta, x, t) == \
                 direct_combine(coeffs, theta, t, ev.precision_bits), eta
+
+
+def test_a_finite_t_call_sets_its_precision_once(monkeypatch):
+    # The float helpers run inside the one precision context of the public
+    # call, so a cold call, which converts, exponentiates and combines,
+    # still enters mpmath.workprec exactly once.
+    entered = []
+    workprec = mpmath.workprec
+
+    def counting(bits):
+        entered.append(bits)
+        return workprec(bits)
+    monkeypatch.setattr(mpmath, "workprec", counting)
+    ev = SpectralEvaluator(Fraction(7, 3), 128)
+    x = FrequencyVector.parse("1/2,1/3")
+    ev.sampling_probability(IntegerPartition.of(3, 2, 1), x, 0.25)
+    assert entered == [128]
+    ev.moment(IntegerPartition.of(3, 2), x, 0.25)
+    assert entered == [128, 128]
 
 
 def test_vector_keyed_hit_hashes_no_fraction(monkeypatch):
