@@ -32,11 +32,11 @@ def rate_function(n: int, eta: IntegerPartition, k) -> RateFunctionResult:
         raise ValueError("|eta| = %d does not match n = %d" % (eta.n, n))
     n_minus_l = Fraction(n - eta.l)
     n_minus_a1 = Fraction(n - eta.alpha_1)
-    if isinstance(k, float) and math.isinf(k):
+    if k == K_INFINITE:
         return RateFunctionResult(SPEED_LOG_THETA, n_minus_l)
-    k = Fraction(k)
-    if k < 0:
+    if k < 0:  # -inf included
         raise ValueError("k must be >= 0, got %s" % (k,))
+    k = Fraction(k)
     if k == K_SUBLOG:
         return RateFunctionResult(SPEED_THETA_T, n_minus_a1 / 2)
     # The kink sits at k* = 2 - 2 (l - alpha_1) / (n - alpha_1), below 2.

@@ -3,11 +3,13 @@ sampling probabilities E_x f(X_t) = sum_m C_m e^{-lambda_m t}.
 
 The exact eigen-coefficients C_m come from the evaluator's own exact layer
 (moments.ExactLayer).  Each evaluator works at a configurable (default
-256-bit) precision, entered once per call: it converts
-the sampler coefficients of one (eta, x) to mpf once, and computes each
-lambda_m once and each e^{-lambda_m t} once per (m, t), so a sampler call at
-a finite t is at most n + 1 multiply-adds; a moment converts its
-coefficients on each call, since no traffic repeats an (omega, x).
+256-bit) precision on raw mpmath.libmp tuples, with no precision context: it
+rounds the sampler coefficients of one (eta, x) once, each lambda_m once and
+each e^{-lambda_m t} once per (m, t); a moment rounds its coefficients on each
+call, since no traffic repeats an (omega, x).  The sum of the exact products
+C_m e^{-lambda_m t} is rounded once to nearest (the rule of mpmath.fdot), so
+with lambda_m and t exact at `bits`, |v - v_exact| <= ulp(v)/2 +
+2^-bits sum_m |C_m| e^{-lambda_m t} (3 + lambda_m t).
 t = inf is a sentinel that drops all exponential terms and returns the exact
 stationary value.
 """
@@ -19,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import (from_float, from_int, mpf_div, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_pos, mpf_sum, round_nearest)
 
 from .combinatorics import EMPTY, IntegerPartition, multinomial_constant
 from .config import DEFAULT_PRECISION_BITS, check_precision
@@ -78,10 +82,18 @@ class TimePoint(FrozenRecord):
         self._freeze(check_time(t), theta, precision_bits)
 
 
+def _raw_mpf(q, prec: int) -> tuple:
+    """q as a raw mpf tuple rounded once to nearest at prec bits; an int or
+    Fraction is the quotient of its exact numerator and denominator."""
+    if isinstance(q, (int, Fraction)):
+        return mpf_div(from_int(q.numerator), from_int(q.denominator), prec, round_nearest)
+    if isinstance(q, float):
+        return from_float(q, prec, round_nearest)
+    return mpf_pos(q._mpf_, prec, round_nearest)
+
+
 def _to_mpf(q) -> mpmath.mpf:
-    if isinstance(q, Fraction):
-        return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
-    return mpmath.mpf(q)
+    return mpmath.mp.make_mpf(_raw_mpf(q, mpmath.mp.prec))
 
 
 class SpectralEvaluator:
@@ -116,31 +128,32 @@ class SpectralEvaluator:
     def _sampler_eigencoeffs(self, eta: IntegerPartition, x: FrequencyVector):
         return self.eigen_coefficients(sampler_expansion(eta), x)
 
-    # -- float layer, run inside the caller's workprec(precision_bits) ----
+    # -- float layer, on raw mpf tuples at precision_bits ---------------
 
-    def _mpf_terms(self, eigen: dict[int, Fraction]) -> tuple[tuple[int, mpmath.mpf], ...]:
-        return tuple((m, _to_mpf(c)) for m, c in sorted(eigen.items()))
+    def _mpf_terms(self, eigen: dict[int, Fraction]) -> tuple[tuple[int, tuple], ...]:
+        return tuple((m, _raw_mpf(c, self.precision_bits)) for m, c in sorted(eigen.items()))
 
     def _sampler_terms(self, eta: IntegerPartition, x: FrequencyVector):
         return self._mpf_terms(self._sampler_eigencoeffs(eta, x))
 
-    def _rate(self, m: int) -> mpmath.mpf:
+    def _rate(self, m: int) -> tuple:
         """lambda_m at the evaluator's precision."""
-        return _to_mpf(eigenvalue(m, self.theta))
+        return _raw_mpf(eigenvalue(m, self.theta), self.precision_bits)
 
-    def _decay(self, m: int, t) -> mpmath.mpf:
+    def _decay(self, m: int, t) -> tuple:
         """e^{-lambda_m t}.  Equal times of different types (0.5,
         Fraction(1, 2), mpf(0.5)) share an entry: they convert to the same
         mpf."""
-        return mpmath.exp(-self._rate(m) * _to_mpf(t))
+        prec = self.precision_bits
+        arg = mpf_mul(mpf_neg(self._rate(m)), _raw_mpf(t, prec), prec, round_nearest)
+        return mpf_exp(arg, prec, round_nearest)
 
-    def _combine(self, terms: tuple[tuple[int, mpmath.mpf], ...], t) -> mpmath.mpf:
-        """sum_m C_m e^{-lambda_m t} in increasing m, at the evaluator's
-        precision."""
-        total = mpmath.mpf(0)
-        for m, c in terms:
-            total += c * self._decay(m, t) if m >= 2 else c
-        return total
+    def _combine(self, terms: tuple[tuple[int, tuple], ...], t) -> mpmath.mpf:
+        """sum_m C_m e^{-lambda_m t}: exact products, one rounding to nearest
+        at the evaluator's precision (the rule of mpmath.fdot)."""
+        return mpmath.mp.make_mpf(mpf_sum(
+            [c if m < 2 else mpf_mul(c, self._decay(m, t)) for m, c in terms],
+            self.precision_bits, round_nearest))
 
     # -- public surface ------------------------------------------------
 
@@ -148,16 +161,13 @@ class SpectralEvaluator:
         """E_x phi_omega(X_t); exact Fraction for the stationary sentinel."""
         if check_time(t) is STATIONARY:
             return power_sum_moment(omega, self.theta)
-        with mpmath.workprec(self.precision_bits):
-            return self._combine(
-                self._mpf_terms(self._moment_eigencoeffs(omega, x)), t)
+        return self._combine(self._mpf_terms(self._moment_eigencoeffs(omega, x)), t)
 
     def sampling_probability(self, eta: IntegerPartition, x: FrequencyVector, t):
         """P_n^theta(eta) = E_x p_eta(X_t); exact ESF value at the sentinel."""
         if check_time(t) is STATIONARY:
             return self.stationary_sampling_probability(eta)
-        with mpmath.workprec(self.precision_bits):
-            return self._combine(self._sampler_terms(eta, x), t)
+        return self._combine(self._sampler_terms(eta, x), t)
 
     def stationary_sampling_probability(self, eta: IntegerPartition) -> Fraction:
         """The Ewens sampling formula value, exactly."""

@@ -10,10 +10,10 @@ atoms) state once in integers, eigen-coefficients come from the Gram-Schmidt
 basis (by projection with inner products, or from the rows of the Gram
 factorization) instead of the generator recursion, the generator recursion
 itself also runs in Fractions, dividing at every level, instead of in integers
-over one common denominator, the float combine converts
-every coefficient, eigenvalue and time afresh on each call instead of once per
-evaluator, and expected rationals are recomputed from first principles where
-frozen.
+over one common denominator, the float combine converts every coefficient,
+eigenvalue and time afresh on each call instead of once per evaluator and sums
+by mpmath.fdot instead of on raw mpf tuples, and expected rationals are
+recomputed from first principles where frozen.
 """
 
 from __future__ import annotations
@@ -211,23 +211,22 @@ def fraction_label_coefficients(label: IntegerPartition, x: FrequencyVector,
 
 
 def direct_combine(eigen: dict[int, Fraction], theta, t, bits: int) -> mpmath.mpf:
-    """sum_m C_m e^{-lambda_m t} at `bits`, in increasing m, with
-    lambda_m = m (m - 1 + theta) / 2: every Fraction, lambda_m and t is
-    converted to mpf and every exponential computed on each call."""
+    """sum_m C_m e^{-lambda_m t} at `bits` by mpmath.fdot, with
+    lambda_m = m (m - 1 + theta) / 2: every Fraction (by mpmath.fdiv of its
+    numerator and denominator), lambda_m and t is rounded to nearest and every
+    exponential computed on each call, and the exact products are summed with
+    one rounding."""
     def to_mpf(q):
         if isinstance(q, Fraction):
-            return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+            return mpmath.fdiv(q.numerator, q.denominator)
         return mpmath.mpf(q)
 
     with mpmath.workprec(bits):
         tval = to_mpf(t)
-        total = mpmath.mpf(0)
-        for m, c in sorted(eigen.items()):
-            term = to_mpf(c)
-            if m >= 2:
-                term *= mpmath.exp(-to_mpf(Fraction(m) * (m - 1 + theta) / 2) * tval)
-            total += term
-        return total
+        terms = sorted(eigen.items())
+        decays = [mpmath.exp(-to_mpf(Fraction(m) * (m - 1 + theta) / 2) * tval)
+                  if m >= 2 else 1 for m, _ in terms]
+        return mpmath.fdot([to_mpf(c) for _, c in terms], decays)
 
 
 #: theta for the properties: small p/q, a non-integer with a larger

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -236,8 +237,10 @@ class TestRateFunction:
             rate_function(3, P2, 1)
 
     def test_negative_k(self):
-        with pytest.raises(ValueError):
-            rate_function(2, P2, -1)
+        # -inf is a negative k, not the k = inf scale.
+        for k in (-1, -math.inf):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                rate_function(2, P2, k)
 
     @pytest.mark.parametrize("k", [Fraction(1, 4), Fraction(1, 2), Fraction(1),
                                    Fraction(3, 2), Fraction(7, 4)])

@@ -4,6 +4,7 @@ from math import comb
 
 import mpmath
 import pytest
+from mpmath.libmp import from_rational, round_nearest, to_rational
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -375,10 +376,11 @@ def test_each_precision_holds_a_distinct_layer():
                 direct_combine(coeffs, theta, t, ev.precision_bits), eta
 
 
-def test_a_finite_t_call_sets_its_precision_once(monkeypatch):
-    # The float helpers run inside the one precision context of the public
-    # call, so a cold call, which converts, exponentiates and combines,
-    # still enters mpmath.workprec exactly once.
+def test_a_finite_t_call_enters_no_precision_context(monkeypatch):
+    # The float layer works on raw mpf tuples at the evaluator's precision,
+    # so a cold call, which converts, exponentiates and combines, never
+    # enters mpmath.workprec, leaves the global precision alone, and returns
+    # an mpf of at most precision_bits mantissa bits.
     entered = []
     workprec = mpmath.workprec
 
@@ -386,12 +388,64 @@ def test_a_finite_t_call_sets_its_precision_once(monkeypatch):
         entered.append(bits)
         return workprec(bits)
     monkeypatch.setattr(mpmath, "workprec", counting)
+    prec = mpmath.mp.prec
     ev = SpectralEvaluator(Fraction(7, 3), 128)
     x = FrequencyVector.parse("1/2,1/3")
-    ev.sampling_probability(IntegerPartition.of(3, 2, 1), x, 0.25)
-    assert entered == [128]
-    ev.moment(IntegerPartition.of(3, 2), x, 0.25)
-    assert entered == [128, 128]
+    for value in (ev.sampling_probability(IntegerPartition.of(3, 2, 1), x, 0.25),
+                  ev.moment(IntegerPartition.of(3, 2), x, 0.25)):
+        assert isinstance(value, mpmath.mpf) and value._mpf_[3] <= 128
+    assert entered == [] and mpmath.mp.prec == prec
+
+
+def _exact(value) -> Fraction:
+    """The rational value of an mpf or raw mpf tuple."""
+    return Fraction(*to_rational(getattr(value, "_mpf_", value)))
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(37, 4)], ids=str)
+def test_finite_t_values_are_correctly_rounded(theta, bits):
+    # Each finite-t value is the exact sum of the evaluator's own rounded
+    # terms times its rounded decays, rounded once to nearest: 3 vectors,
+    # every eta of n <= 7 and 4 times (a Fraction among them) per case.
+    ev = SpectralEvaluator(theta, bits)
+    wrong = []
+    for x in map(FrequencyVector.parse, ("1/2,1/3,1/6", "2/7,1/5,1/9,1/11", "")):
+        for t in (0, 0.001, Fraction(1, 10), 1.5):
+            for eta in ETAS_UP_TO_7:
+                value = ev.sampling_probability(eta, x, t)
+                exact = sum((_exact(c) * (_exact(ev._decay(m, t)) if m >= 2 else 1)
+                             for m, c in ev._sampler_terms(eta, x)), Fraction(0))
+                rounded = from_rational(exact.numerator, exact.denominator, bits,
+                                        round_nearest)
+                if value._mpf_ != rounded:
+                    wrong.append((str(x), t, eta))
+    assert wrong == [], "%d of %d values" % (len(wrong), 3 * 4 * len(ETAS_UP_TO_7))
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(37, 4), Fraction(10**8)],
+                         ids=str)
+def test_finite_t_error_bound(theta, bits):
+    # Against the value at 4 bits + 64, with lambda_m and t exact at `bits`:
+    # |v - v_ref| <= 2^-bits sum_m |C_m| e^{-lambda_m t} (3 + lambda_m t)
+    # + ulp(v) / 2, the rounding of each C_m, of lambda_m t and of the
+    # exponential, and the one rounding of the sum.
+    ev, ref = SpectralEvaluator(theta, bits), SpectralEvaluator(theta, 4 * bits + 64)
+    for x in map(FrequencyVector.parse, ("2/7,1/5,1/9,1/11", "1/2,1/4")):
+        for t in (0.001, 0.1, 1.5):
+            for eta in ETAS_UP_TO_7:
+                value = ev.sampling_probability(eta, x, t)
+                with mpmath.workprec(4 * bits + 64):
+                    budget = mpmath.fsum(
+                        abs(mpmath.mpf(c.numerator) / c.denominator)
+                        * (1 if m < 2 else mpmath.exp(-eigenvalue(m, theta) * t)
+                           * (3 + eigenvalue(m, theta) * t))
+                        for m, c in ev._sampler_eigencoeffs(eta, x).items())
+                    sign, man, exp, bc = value._mpf_
+                    half_ulp = mpmath.ldexp(1, exp + bc - bits - 1) if man else 0
+                    error = abs(value - ref.sampling_probability(eta, x, t))
+                    assert error <= mpmath.ldexp(budget, -bits) + half_ulp, (str(x), t, eta)
 
 
 def test_vector_keyed_hit_hashes_no_fraction(monkeypatch):
