@@ -170,7 +170,8 @@ def lemma41_order_scan(eta: IntegerPartition, xi: Optional[IntegerPartition],
     -log2(v(2 theta)/v(theta)) and the constant ratio v(theta) over the
     predicted leading term (reported, not asserted for nonempty xi: the
     normalization of the printed recursion is ambiguous); eta and the thetas
-    checked first."""
+    checked first.  The exponent is None where v(theta) = 0, and inf where
+    only v(2 theta) is."""
     thetas = [check_theta(theta) for theta in thetas]
     check_min_part(eta, "eta")
     rows = []
@@ -178,10 +179,11 @@ def lemma41_order_scan(eta: IntegerPartition, xi: Optional[IntegerPartition],
         v1 = exact_inner(eta, xi, theta)
         v2 = exact_inner(eta, xi, 2 * theta)
         if v1 == 0 or v2 == 0:
-            raise ValueError("inner product vanished; no slope at theta=%s" % theta)
-        ratio = abs(Fraction(v2, v1))
-        # math.log2 takes arbitrary-size ints, so no overflow here.
-        measured = -(math.log2(ratio.numerator) - math.log2(ratio.denominator))
+            measured = math.inf if v1 else None
+        else:
+            ratio = abs(Fraction(v2, v1))
+            # math.log2 takes arbitrary-size ints, so no overflow here.
+            measured = -(math.log2(ratio.numerator) - math.log2(ratio.denominator))
         rows.append(OrderScanRow(
             theta, measured, v1 / lemma41_leading_term(eta, xi, theta)))
     return rows
@@ -204,6 +206,8 @@ def ldp_slope_scan(
     point; underflowing rows are flagged, not faked."""
     import mpmath
     from .transient import _to_mpf, get_evaluator
+    if isinstance(k, float) and not math.isfinite(k):  # no time t(theta) at k = inf
+        raise ValueError("the slope scan needs a finite k, got k=%s" % k)
     target = rate_function(n, eta, k)
     regime = RegimeSpec.sublog() if Fraction(k) == K_SUBLOG \
         else RegimeSpec.logarithmic(k)

@@ -225,8 +225,9 @@ def cmd_lemma41_scan(args, cfg):
     xi = IntegerPartition.parse(args.xi) if args.xi is not None else None
     grid = parse_theta_grid(args.theta_grid)
     check_size(eta.n + (xi.n if xi is not None else 0), "|eta| + |xi|", cfg)
-    table = [[exact("theta", row.theta), "%.6f" % row.measured_exponent,
-              "%.6f" % float(row.constant_ratio)]
+    # A vanishing v(theta) has no exponent: JSON null, an empty CSV field.
+    table = [[exact("theta", row.theta), None if row.measured_exponent is None
+              else "%.6f" % row.measured_exponent, "%.6f" % float(row.constant_ratio)]
              for row in lemma41_order_scan(eta, xi, grid)]
     header = ["theta", "measured_exponent", "constant_ratio"]
     emit([dict(zip(header, row)) for row in table], rows=table, header=header,

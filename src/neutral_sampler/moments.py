@@ -20,8 +20,8 @@ lambda_u - lambda_m = d(u, m) / (2q); let L_u = prod_{m in {0, 2, ..., u-1}}
 d(u, m) and H_n = L_2 ... L_n.  With D the lcm of the atoms' denominators,
 every A_xi[m] with |xi| = n is an integer N_xi[m] over D^n H_n.  A sampler or
 moment sums the numerators of its labels over one common denominator and
-builds one Fraction per m.  Each float evaluator (transient) owns one
-bounded exact layer, and nothing here imports mpmath.
+builds one Fraction per m, with caches keyed by theta's integers p, q: every
+float evaluator (transient) at a theta shares them.  No mpmath is imported.
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ from math import factorial
 from .combinatorics import EMPTY, IntegerPartition
 from .sampling import FrequencyVector
 
-#: Entries per exact layer in the cache of integer numerators, one per
-#: (label, x).  The recursion for one vector visits every label with parts
-#: >= 2 up to its size: 231 up to 16, 297 up to 17 and 627 up to 20.  So the
-#: bound holds all labels up to size 20 on one vector; a smaller bound evicts
-#: children the recursion still needs and recomputes them.
+#: Entries in the cache of integer numerators, one per (theta, label, x), in
+#: total over every theta.  One theta and vector visit every label with parts
+#: >= 2 up to the largest size: 231 up to 16, 297 up to 17 and 627 up to 20.
+#: So the bound holds all labels up to size 20 on one vector; a smaller bound
+#: evicts children the recursion still needs and recomputes them.
 LABEL_CACHE_SIZE = 1024
 
-#: Entries per exact layer in the cache of (L_n, H_n, ...), one per n, and
-#: per float evaluator in the cache of lambda_m, one per m.
+#: Entries in the cache of (L_n, H_n, ...), one per (theta, n), in total over
+#: every theta, and per float evaluator in the cache of lambda_m, one per m.
 LEVEL_CACHE_SIZE = 64
 
 
@@ -162,81 +162,76 @@ def mixed_power_sum_moment(eta: IntegerPartition, xi: IntegerPartition, theta) -
     return power_sum_moment(eta.concat(xi), theta)
 
 
-class ExactLayer:
-    """The integer eigen-coefficients of one theta = p/q."""
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+def level(p: int, q: int, n: int) -> tuple[int, int, tuple[int, ...]]:
+    """(L_n, H_n, (2q L_n / d(n, m))_{m < n}) at theta = p/q, with the factor
+    0 at m = 1, which is no eigenvalue index; L_u = H_u = 1 for u < 2."""
+    if n < 2:
+        return 1, 1, (0,) * n
+    gaps = [(n - m) * (q * (n + m - 1) + p) if m != 1 else 0 for m in range(n)]
+    l_n = math.prod(g for g in gaps if g)
+    factors = tuple(2 * q * l_n // g if g else 0 for g in gaps)
+    return l_n, level(p, q, n - 1)[1] * l_n, factors
 
-    def __init__(self, theta: Fraction):
-        self.theta = theta
-        self.label_numerators = lru_cache(maxsize=LABEL_CACHE_SIZE)(
-            self.label_numerators)
-        self.level = lru_cache(maxsize=LEVEL_CACHE_SIZE)(self.level)
 
-    def level(self, n: int) -> tuple[int, int, tuple[int, ...]]:
-        """(L_n, H_n, (2q L_n / d(n, m))_{m < n}), with the factor 0 at
-        m = 1, which is no eigenvalue index; L_u = H_u = 1 for u < 2."""
-        if n < 2:
-            return 1, 1, (0,) * n
-        p, q = self.theta.numerator, self.theta.denominator
-        gaps = [(n - m) * (q * (n + m - 1) + p) if m != 1 else 0 for m in range(n)]
-        l_n = math.prod(g for g in gaps if g)
-        factors = tuple(2 * q * l_n // g if g else 0 for g in gaps)
-        return l_n, self.level(n - 1)[1] * l_n, factors
+@lru_cache(maxsize=LABEL_CACHE_SIZE)
+def label_numerators(p: int, q: int, label: IntegerPartition,
+                     table: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """(N[0], ..., N[n]) with A_label[m] = N[m] / (D^n H_n) at theta = p/q
+    and the vector whose integer form is (D, weights).
 
-    def label_numerators(self, label: IntegerPartition,
-                         table: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
-        """(N[0], ..., N[n]) with A_label[m] = N[m] / (D^n H_n) at the vector
-        whose integer form is (D, weights).
+    A child of size s contributes c D^{n-s} (H_{n-1} / H_s) N_child[m]
+    to the sum that 2q L_n / d(n, m) turns into N[m] for m < n; at
+    t = 0 the A[m] sum to phi_label(x) = prod_p W_p / D^n, which fixes
+    N[n] = H_n prod_p W_p - sum_{m<n} N[m]."""
+    n = label.n
+    if n == 0:
+        return (1,)
+    d, weights = table
+    near, far = [0] * n, [0] * n  # children of size n - 1 and n - 2
+    for child, c in generator_children(label):
+        acc = near if child.n == n - 1 else far
+        for m, a in enumerate(label_numerators(p, q, child, table)):
+            if a:
+                acc[m] += c * a
+    _, h_n, factors = level(p, q, n)
+    far_scale = d * level(p, q, n - 1)[0]
+    out = [f * d * (a + far_scale * b) if f else 0
+           for f, a, b in zip(factors, near, far)]
+    top = h_n
+    for part in label.parts:
+        top *= sum(w**part for w in weights)
+    out.append(top - sum(out))
+    return tuple(out)
 
-        A child of size s contributes c D^{n-s} (H_{n-1} / H_s) N_child[m]
-        to the sum that 2q L_n / d(n, m) turns into N[m] for m < n; at
-        t = 0 the A[m] sum to phi_label(x) = prod_p W_p / D^n, which fixes
-        N[n] = H_n prod_p W_p - sum_{m<n} N[m]."""
-        n = label.n
-        if n == 0:
-            return (1,)
-        d, weights = table
-        near, far = [0] * n, [0] * n  # children of size n - 1 and n - 2
-        for child, c in generator_children(label):
-            acc = near if child.n == n - 1 else far
-            for m, a in enumerate(self.label_numerators(child, table)):
-                if a:
-                    acc[m] += c * a
-        _, h_n, factors = self.level(n)
-        far_scale = d * self.level(n - 1)[0]
-        out = [f * d * (a + far_scale * b) if f else 0
-               for f, a, b in zip(factors, near, far)]
-        top = h_n
-        for p in label.parts:
-            top *= sum(w**p for w in weights)
-        out.append(top - sum(out))
-        return tuple(out)
 
-    def eigen_coefficients(
-        self, f: tuple[tuple[IntegerPartition, int], ...], x: FrequencyVector
-    ) -> dict[int, Fraction]:
-        """Group E_x f(X_t) for f = sum c_xi phi_xi, with integer c_xi, by
-        eigenvalue index: returns {m: C_m} with C_0 the stationary part, such
-        that E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}, with
-        C_m = sum_xi c_xi A_xi[m] and zeros dropped.
+def eigen_coefficients(
+    theta: Fraction, f: tuple[tuple[IntegerPartition, int], ...], x: FrequencyVector
+) -> dict[int, Fraction]:
+    """Group E_x f(X_t) for f = sum c_xi phi_xi, with integer c_xi, by
+    eigenvalue index: returns {m: C_m} with C_0 the stationary part, such
+    that E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t}, with
+    C_m = sum_xi c_xi A_xi[m] and zeros dropped.
 
-        The numerators of each label size s are summed first, then scaled by
-        D^{top-s} H_top / H_s to the common denominator of the largest label;
-        one Fraction per m divides by it."""
-        table = x.integer_form
-        d = table[0]
-        by_size: dict[int, list[int]] = {}
-        for xi, c in f:
-            acc = by_size.setdefault(xi.n, [0] * (xi.n + 1))
-            for m, a in enumerate(self.label_numerators(xi, table)):
-                if a:
-                    acc[m] += c * a
-        top = max(by_size, default=0)
-        totals = [0] * (top + 1)
-        scale = 1
-        for s in range(top, min(by_size, default=0) - 1, -1):
-            for m, a in enumerate(by_size.get(s, ())):
-                if a:
-                    totals[m] += scale * a
-            scale *= d * self.level(s)[0]
-        common = d**top * self.level(top)[1]  # D^top H_top
-        return {m: Fraction(v, common) for m, v in enumerate(totals) if v}
+    The numerators of each label size s are summed first, then scaled by
+    D^{top-s} H_top / H_s to the common denominator of the largest label;
+    one Fraction per m divides by it."""
+    p, q = theta.numerator, theta.denominator
+    table = x.integer_form
+    d = table[0]
+    by_size: dict[int, list[int]] = {}
+    for xi, c in f:
+        acc = by_size.setdefault(xi.n, [0] * (xi.n + 1))
+        for m, a in enumerate(label_numerators(p, q, xi, table)):
+            if a:
+                acc[m] += c * a
+    top = max(by_size, default=0)
+    totals = [0] * (top + 1)
+    scale = 1
+    for s in range(top, min(by_size, default=0) - 1, -1):
+        for m, a in enumerate(by_size.get(s, ())):
+            if a:
+                totals[m] += scale * a
+        scale *= d * level(p, q, s)[0]
+    common = d**top * level(p, q, top)[1]  # D^top H_top
+    return {m: Fraction(v, common) for m, v in enumerate(totals) if v}

@@ -1,15 +1,15 @@
 """The float layer of the finite spectral expansion: transient moments and
 sampling probabilities E_x f(X_t) = sum_m C_m e^{-lambda_m t}.
 
-The exact eigen-coefficients C_m come from the evaluator's own exact layer
-(moments.ExactLayer).  Each evaluator works at a configurable (default
-256-bit) precision on raw mpmath.libmp tuples, with no precision context: it
-rounds the sampler coefficients of one (eta, x) once, each lambda_m once and
-each e^{-lambda_m t} once per (m, t); a moment rounds its coefficients on each
-call, since no traffic repeats an (omega, x).  The sum of the exact products
-C_m e^{-lambda_m t} is rounded once to nearest (the rule of mpmath.fdot), so
-with lambda_m and t exact at `bits`, |v - v_exact| <= ulp(v)/2 +
-2^-bits sum_m |C_m| e^{-lambda_m t} (3 + lambda_m t).
+The exact eigen-coefficients C_m come from moments.eigen_coefficients, one
+recursion shared by every evaluator at a theta.  Each evaluator works at a
+configurable (default 256-bit) precision on raw mpmath.libmp tuples, with no
+precision context: it rounds the sampler coefficients of one (eta, x) once,
+each lambda_m once and each e^{-lambda_m t} once per (m, t); a moment rounds
+its coefficients on each call, since no traffic repeats an (omega, x).  The
+sum of the exact products C_m e^{-lambda_m t} is rounded once to nearest (the
+rule of mpmath.fdot), so with lambda_m and t exact at `bits`, |v - v_exact| <=
+ulp(v)/2 + 2^-bits sum_m |C_m| e^{-lambda_m t} (3 + lambda_m t).
 t = inf is a sentinel that drops all exponential terms and returns the exact
 stationary value.
 """
@@ -28,9 +28,9 @@ from .combinatorics import EMPTY, IntegerPartition, multinomial_constant
 from .config import DEFAULT_PRECISION_BITS, check_precision
 from .moments import (
     LEVEL_CACHE_SIZE,
-    ExactLayer,
     check_min_part,
     check_theta,
+    eigen_coefficients,
     esf_monomial_moment,
     power_sum_moment,
 )
@@ -103,7 +103,6 @@ class SpectralEvaluator:
     def __init__(self, theta, precision_bits: int = DEFAULT_PRECISION_BITS):
         self.theta = check_theta(theta)
         self.precision_bits = check_precision(precision_bits)
-        self._exact = ExactLayer(self.theta)
         # Bounded, since get_evaluator keeps up to EVALUATOR_CACHE_SIZE
         # evaluators alive.
         self._sampler_terms = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
@@ -117,8 +116,8 @@ class SpectralEvaluator:
         self, f: tuple[tuple[IntegerPartition, int], ...], x: FrequencyVector
     ) -> dict[int, Fraction]:
         """{m: C_m} with E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t} for
-        f = sum c_xi phi_xi, zeros dropped (ExactLayer.eigen_coefficients)."""
-        return self._exact.eigen_coefficients(f, x)
+        f = sum c_xi phi_xi at the evaluator's theta, zeros dropped."""
+        return eigen_coefficients(self.theta, f, x)
 
     def _moment_eigencoeffs(self, omega: IntegerPartition, x: FrequencyVector):
         if omega != EMPTY:

@@ -9,7 +9,7 @@ from itertools import chain
 
 from .basis import build_basis, inner_product
 from .combinatorics import enumerate_partitions
-from .moments import ExactLayer
+from .moments import eigen_coefficients
 from .rates import rate_function
 from .sampling import (
     BRUTEFORCE_MAX_N,
@@ -120,12 +120,11 @@ def transient_suite(max_size: int = 6):
     linearly independent): over eta of n they sum to [m = 0], and
     sum_eta w(eta -> xi) C_eta[m] = C_xi[m] with removal_children's weights."""
     for theta in TRANSIENT_THETAS:
-        layer = ExactLayer(theta)
         for x in map(FrequencyVector.parse, TRANSIENT_VECTORS):
             where = "theta=%s x=(%s)" % (theta, x)
             prev: dict = {}
             for n in range(1, max_size + 1):
-                coeffs = {eta: layer.eigen_coefficients(sampler_expansion(eta), x)
+                coeffs = {eta: eigen_coefficients(theta, sampler_expansion(eta), x)
                           for eta in enumerate_partitions(n)}
                 total: dict = {}
                 children: dict = {xi: {} for xi in prev}

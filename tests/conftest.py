@@ -28,7 +28,12 @@ from hypothesis import strategies as st
 
 from neutral_sampler.basis import build_basis, inner_product
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
-from neutral_sampler.moments import ExactLayer, generator_children, rising_factorial
+from neutral_sampler.moments import (
+    generator_children,
+    label_numerators,
+    level,
+    rising_factorial,
+)
 from neutral_sampler.sampling import FrequencyVector, _power_sum_table
 
 
@@ -180,11 +185,12 @@ def label_coefficients(label: IntegerPartition, x: FrequencyVector,
                        theta) -> tuple[Fraction, ...]:
     """(A[0], ..., A[n]) with E_x phi_label(X_t) = sum_m A[m] e^{-lambda_m t}
     and lambda_0 = 0; A[1] = 0, since no label has size 1.  Not an oracle:
-    the library's own integer numerators N[m] of theta's exact layer, each
-    divided by D^n H_n, for comparison with the oracles."""
-    layer, table = ExactLayer(Fraction(theta)), x.integer_form
-    den = table[0] ** label.n * layer.level(label.n)[1]
-    return tuple(Fraction(a, den) for a in layer.label_numerators(label, table))
+    the library's own integer numerators N[m] at theta, each divided by
+    D^n H_n, for comparison with the oracles."""
+    theta, table = Fraction(theta), x.integer_form
+    p, q = theta.numerator, theta.denominator
+    den = table[0] ** label.n * level(p, q, label.n)[1]
+    return tuple(Fraction(a, den) for a in label_numerators(p, q, label, table))
 
 
 @lru_cache(maxsize=4096)

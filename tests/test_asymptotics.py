@@ -217,6 +217,22 @@ class TestOrderScan:
                                     self.big_thetas())
         assert abs(row.measured_exponent - 6) < 0.05
 
+    @pytest.mark.parametrize("eta,xi", [((5,), (2, 2)), ((6,), (3, 2))], ids=str)
+    def test_vanishing_pair_reports_no_exponent_and_a_zero_ratio(self, eta, xi):
+        # <phi_eta, psi_xi> is exactly 0 at every theta for these pairs.
+        rows = lemma41_order_scan(IntegerPartition.of(*eta), IntegerPartition.of(*xi),
+                                  [Fraction(10) ** 4, Fraction(10) ** 6])
+        assert [(r.measured_exponent, r.constant_ratio) for r in rows] == [(None, 0)] * 2
+        assert all(type(r.constant_ratio) is Fraction for r in rows)
+
+    def test_vanishing_at_twice_theta_reads_an_infinite_exponent(self, monkeypatch):
+        theta = Fraction(10) ** 6
+        monkeypatch.setattr("neutral_sampler.asymptotics.exact_inner",
+                            lambda eta, xi, th: Fraction(int(th == theta)))
+        (row,) = lemma41_order_scan(P3, P2, [theta])
+        assert row.measured_exponent == math.inf
+        assert row.constant_ratio == 1 / lemma41_leading_term(P3, P2, theta)
+
 
 class TestRateFunction:
     @pytest.mark.parametrize("n,parts,k,speed,value", [
@@ -306,6 +322,19 @@ class TestSlopeScan:
                             _no_evaluation)
         with pytest.raises(ValueError, match="theta > 1, got theta=%s" % grid[-1]):
             ldp_slope_scan(2, P2, 1, grid, x_full, 256)
+
+    @pytest.mark.parametrize("k,message", [
+        (-1, "k must be >= 0, got -1"),
+        (K_INFINITE, "the slope scan needs a finite k, got k=inf"),
+        (math.nan, "the slope scan needs a finite k, got k=nan"),
+    ], ids=["negative", "inf", "nan"])
+    def test_k_refused_by_value_before_any_point(self, k, message, x_full,
+                                                 monkeypatch):
+        # k = inf is rate_function's scale, which has no finite time t(theta).
+        monkeypatch.setattr("neutral_sampler.transient.get_evaluator",
+                            _no_evaluation)
+        with pytest.raises(ValueError, match="^%s$" % message):
+            ldp_slope_scan(2, P2, k, [Fraction(100)], x_full, 256)
 
     def test_sublog_theta_below_e_refused_before_any_point(self, x_full,
                                                            monkeypatch):

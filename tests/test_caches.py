@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import neutral_sampler
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_partitions_min2
-from neutral_sampler.moments import LABEL_CACHE_SIZE, ExactLayer
+from neutral_sampler.moments import LABEL_CACHE_SIZE, label_numerators
 from neutral_sampler.sampling import FrequencyVector, random_frequency_vector
 from neutral_sampler.transient import (
     DECAY_CACHE_SIZE,
@@ -24,7 +24,7 @@ def _bounds(namespace, prefix, module_name=None):
             and (module_name is None or value.__module__ == module_name)]
 
 
-#: Every lru_cache of the package, its evaluators and their exact layer.
+#: Every lru_cache of the package and of its evaluators.
 CACHES = {
     "basis.build_basis",
     "combinatorics.coarsening_weights",
@@ -33,8 +33,8 @@ CACHES = {
     "moments._moment_polynomial",
     "moments.generator_children",
     "moments.power_sum_moment",
-    "moments.ExactLayer.label_numerators",
-    "moments.ExactLayer.level",
+    "moments.label_numerators",
+    "moments.level",
     "sampling.expansion_of_monomial_sampler",
     "transient.get_evaluator",
     "transient.SpectralEvaluator._decay",
@@ -50,7 +50,6 @@ def test_every_cache_is_bounded():
         caches += _bounds(module, info.name, module.__name__)
     ev = SpectralEvaluator(1)
     caches += _bounds(ev, "transient.SpectralEvaluator")
-    caches += _bounds(ev._exact, "moments.ExactLayer")
     assert sorted(name for name, _ in caches) == sorted(CACHES)
     assert [c for c in caches if c[1] is None] == []
 
@@ -67,7 +66,7 @@ def test_eigencoeff_cache_holds_at_most_its_bound():
         seen.add(x)
         ev.sampling_probability(eta, x, 1.0)
         ev.moment(omega, x, 1.0)
-    assert ev._exact.label_numerators.cache_info().currsize == LABEL_CACHE_SIZE
+    assert label_numerators.cache_info().currsize == LABEL_CACHE_SIZE
     assert ev._sampler_terms.cache_info().currsize == EIGENCOEFF_CACHE_SIZE
 
 
@@ -75,12 +74,12 @@ def test_label_cache_holds_every_label_up_to_size_17_on_one_vector():
     # The recursion from the 66 labels of size 17 visits all 297 labels with
     # parts >= 2 up to size 17; a bound below that evicts children it still
     # needs, and each one recomputed is a second miss for the same entry.
-    layer = ExactLayer(Fraction(1))
+    label_numerators.cache_clear()
     table = FrequencyVector.of(Fraction(1, 2), Fraction(1, 3),
                                Fraction(1, 6)).integer_form
     for label in enumerate_partitions_min2(17):
-        layer.label_numerators(label, table)
-    info = layer.label_numerators.cache_info()
+        label_numerators(1, 1, label, table)
+    info = label_numerators.cache_info()
     assert info.currsize == 297
     assert info.misses == info.currsize
 

@@ -449,6 +449,24 @@ def test_writable_out_check_leaves_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eta,xi", [("5", "2,2"), ("6", "3,2")])
+def test_lemma41_scan_of_a_vanishing_pair_exits_0(eta, xi, capsys, tmp_path):
+    # <phi_eta, psi_xi> is exactly 0 at every theta: no exponent, ratio 0.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_n=12\n")
+    argv = ["--config", str(cfg), "lemma41-scan", "--eta", eta, "--xi", xi,
+            "--theta-grid", "1e4,1e6"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == [
+        {"theta": theta, "measured_exponent": None, "constant_ratio": "0.000000"}
+        for theta in ("10000", "1000000")]
+    rc, out, err = run_cli(capsys, "--format", "csv", *argv)
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["theta,measured_exponent,constant_ratio",
+                                "10000,,0.000000", "1000000,,0.000000"]
+
+
 class TestRateFunction:
     def test_json_shape(self, capsys):
         rc, out, _ = run_cli(capsys, "rate-function", "--n", "2",

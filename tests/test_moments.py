@@ -151,7 +151,7 @@ import json, sys
 sys.modules["mpmath"] = None
 from fractions import Fraction
 from neutral_sampler.combinatorics import enumerate_partitions
-from neutral_sampler.moments import ExactLayer
+from neutral_sampler.moments import eigen_coefficients
 from neutral_sampler.sampling import FrequencyVector, sampler_expansion
 """
 
@@ -172,15 +172,14 @@ def _run_without_mpmath(program):
 def test_exact_layer_equals_the_evaluators_without_mpmath():
     got = _run_without_mpmath("""
 theta, out = Fraction(29, 3), {}
-layer = ExactLayer(theta)
 for text in sys.argv[1:]:
     x = FrequencyVector.parse(text)
     for n in range(1, 7):
         for eta in enumerate_partitions(n):
             key = "%s|%s" % (eta, text)
-            out["sampler " + key] = layer.eigen_coefficients(sampler_expansion(eta), x)
+            out["sampler " + key] = eigen_coefficients(theta, sampler_expansion(eta), x)
             if eta.min_part >= 2:
-                out["moment " + key] = layer.eigen_coefficients(((eta, Fraction(1)),), x)
+                out["moment " + key] = eigen_coefficients(theta, ((eta, Fraction(1)),), x)
 print(json.dumps({k: {m: str(c) for m, c in v.items()} for k, v in out.items()}))
 """)
     ev = get_evaluator(Fraction(29, 3))

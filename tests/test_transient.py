@@ -18,6 +18,7 @@ from neutral_sampler.combinatorics import (
 from neutral_sampler.moments import (
     esf_monomial_moment,
     generator_children,
+    label_numerators,
     power_sum_moment,
 )
 from neutral_sampler.sampling import (
@@ -356,18 +357,18 @@ def test_integer_engine_equals_fraction_recursion_up_to_twelve(theta):
             fraction_label_coefficients(label, x, theta), label
 
 
-def test_each_precision_holds_a_distinct_layer():
-    # get_evaluator keeps one evaluator per (theta, precision_bits), each with
-    # its own exact layer; the layers give the same Fractions, and each
-    # evaluator equals the direct combine of them at its own precision.
+def test_every_precision_shares_one_exact_recursion():
+    # The exact numerators are cached by (theta, label, x), so evaluators at
+    # three precisions of one theta miss each label once in total; each
+    # equals the direct combine of the shared Fractions at its own precision.
     theta, x, t = Fraction(1013, 29), FrequencyVector.parse("2/7,1/5,1/9,1/11"), 0.5
-    evs = [get_evaluator(theta, bits) for bits in (64, 256, 512)]
-    assert len({id(ev._exact) for ev in evs}) == 3
+    label_numerators.cache_clear()
+    evs = [SpectralEvaluator(theta, bits) for bits in (64, 256, 512)]
     for ev in evs:
         for eta in ETAS_UP_TO_7:
             ev.sampling_probability(eta, x, t)
-    assert [ev._exact.label_numerators.cache_info().misses for ev in evs] == \
-        [len(MOMENT_LABELS_UP_TO_7)] * 3
+    info = label_numerators.cache_info()
+    assert info.misses == info.currsize == len(MOMENT_LABELS_UP_TO_7)
     for eta in ETAS_UP_TO_7:
         coeffs = evs[0]._sampler_eigencoeffs(eta, x)
         for ev in evs:

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from neutral_sampler.combinatorics import IntegerPartition
-from neutral_sampler.moments import ExactLayer
 from neutral_sampler.sampling import (
     BRUTEFORCE_MAX_N,
     CapExceededError,
     sampler_expansion,
 )
+from neutral_sampler import verify
 from neutral_sampler.verify import SUITES, run_suite
 
 
@@ -69,17 +69,17 @@ def test_transient_suite_catches_one_wrong_eigen_coefficient(monkeypatch):
     # C_2 of the sampler of eta = (2,1) moves by 1/7: the sum over n = 3 and
     # the consistency of its two children, (2) and (1,1), fail at each of the
     # 3 thetas on each of the 3 vectors.
-    original = ExactLayer.eigen_coefficients
+    original = verify.eigen_coefficients
     target = sampler_expansion(IntegerPartition.of(2, 1))
 
-    def perturbed(self, f, x):
-        coeffs = original(self, f, x)
+    def perturbed(theta, f, x):
+        coeffs = original(theta, f, x)
         if f == target:
             coeffs = dict(coeffs)
             coeffs[2] = coeffs.get(2, 0) + Fraction(1, 7)
         return coeffs
 
-    monkeypatch.setattr(ExactLayer, "eigen_coefficients", perturbed)
+    monkeypatch.setattr(verify, "eigen_coefficients", perturbed)
     failures = [label for label, ok, _ in run_suite("transient", max_size=3)
                 if not ok]
     assert len(failures) == 27

@@ -9,13 +9,12 @@ interpreter through `bench/worker.prepare`, with the program imported from
 this checkout's `src`, so every cache starts empty as in a benchmark round.
 cli_mix runs each command through `cli.main` in an interpreter of its own.
 
-A cache of one instance (`ExactLayer.label_numerators` and `level`,
-`SpectralEvaluator._sampler_terms`, `_decay` and `_rate`) is summed over
-every instance built, also the ones `get_evaluator` evicted: the child wraps
-both constructors to keep each instance.  Prints one line per cache, named
-as in `tests/test_caches.CACHES`, with its hits and misses summed over the
-rounds, then the error of each failed request and the number of requests
-and of failed ones.  Nothing is written.
+A cache of one evaluator (`SpectralEvaluator._sampler_terms`, `_decay` and
+`_rate`) is summed over every evaluator built, also the ones `get_evaluator`
+evicted: the child wraps the constructor to keep each one.  Prints one line
+per cache, named as in `tests/test_caches.CACHES`, with its hits and misses
+summed over the rounds, then the error of each failed request and the number
+of requests and of failed ones.  Nothing is written.
 """
 
 from __future__ import annotations
@@ -72,12 +71,10 @@ def child() -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import neutral_sampler as ns
     from neutral_sampler import cli
-    from neutral_sampler.moments import ExactLayer
     from neutral_sampler.transient import SpectralEvaluator
     import worker
 
     instances: list = []
-    keep_instances(ExactLayer, "moments.ExactLayer", instances)
     keep_instances(SpectralEvaluator, "transient.SpectralEvaluator", instances)
     errors = []
     for req in requests:
@@ -100,7 +97,7 @@ def child() -> int:
     for name, cached in caches(instances):
         add(counts, name, cached.cache_info().hits, cached.cache_info().misses)
     # One idle evaluator, built after the counts are read, so that a
-    # workload building none still lists the caches of both classes at 0.
+    # workload building none still lists its caches at 0.
     built = len(instances)
     SpectralEvaluator(1)
     for name, _ in caches(instances[built:]):
