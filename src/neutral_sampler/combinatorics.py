@@ -31,6 +31,8 @@ class IntegerPartition(FrozenRecord):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be nonincreasing: %r" % (parts,))
         self._freeze(parts)
+        # Not a field, so equality, hash and repr are unchanged.
+        object.__setattr__(self, "n", sum(parts))
 
     # Every cache lookup keyed by a label runs these two, so they read the
     # one field directly.
@@ -48,6 +50,7 @@ class IntegerPartition(FrozenRecord):
         library derives them from valid labels; skips the validation."""
         label = object.__new__(cls)
         object.__setattr__(label, "parts", parts)
+        object.__setattr__(label, "n", sum(parts))
         return label
 
     @classmethod
@@ -61,10 +64,6 @@ class IntegerPartition(FrozenRecord):
         if not text:
             return cls(())
         return cls.of(*(int(tok) for tok in text.split(",")))
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
 
     @property
     def l(self) -> int:
@@ -219,10 +218,11 @@ def coarsening_weights(
 
 
 def multinomial_constant(eta: IntegerPartition) -> int:
-    """n! / (eta_1! ... eta_l! alpha_1! ... alpha_n!), an exact integer."""
-    denom = 1
+    """n! / (eta_1! ... eta_l! alpha_1! ... alpha_n!), an exact integer; equal
+    parts are adjacent, so alpha_j! is the product of their run counts."""
+    denom, run, previous = 1, 0, 0
     for p in eta.parts:
-        denom *= factorial(p)
-    for a in eta.alpha:
-        denom *= factorial(a)
+        run = run + 1 if p == previous else 1
+        previous = p
+        denom *= factorial(p) * run
     return factorial(eta.n) // denom

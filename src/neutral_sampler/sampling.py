@@ -136,28 +136,31 @@ class FrequencyVector(FrozenRecord):
         return [str(a) for a in self.atoms]
 
 
-def _power_sum_table(x: FrequencyVector, k_max: int) -> tuple[int, list[int]]:
-    """(D, W) with phi_k(x) = W[k] / D^k for 1 <= k <= k_max.
+# A t0_distribution round reads 36 tables: four vectors, sizes 1 to 9.
+@lru_cache(maxsize=256)
+def _power_sum_table(x: FrequencyVector, k_max: int) -> tuple[tuple, tuple]:
+    """((D^k)_k, (W_k)_k) for 0 <= k <= k_max, with phi_k(x) = W_k / D^k.
 
-    (D, (a_i D)_i) is the vector's integer form and W[k] = sum_i (a_i D)^k;
-    W[1] = D carries the phi_1 == 1 convention (W[0] is unused).
+    (D, (a_i D)_i) is the vector's integer form and W_k = sum_i (a_i D)^k;
+    W_1 = D carries the phi_1 == 1 convention (W_0 is unused).
     """
     d, weights = x.integer_form
-    sums = [0, d]
+    d_powers, sums = [1, d], [0, d]
     powers = weights
     for _ in range(2, k_max + 1):
         powers = [p * w for p, w in zip(powers, weights)]
         sums.append(sum(powers))
-    return d, sums
+        d_powers.append(d_powers[-1] * d)
+    return tuple(d_powers), tuple(sums)
 
 
 def power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
     """phi_eta(x) = prod_j phi_{eta_j}(x), as one fraction over D^|eta|."""
-    d, sums = _power_sum_table(x, eta.n)
+    d_powers, sums = _power_sum_table(x, eta.n)
     value = 1
     for p in eta.parts:
         value *= sums[p]
-    return Fraction(value, d**eta.n)
+    return Fraction(value, d_powers[eta.n])
 
 
 def monomial_sampler_bruteforce(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
@@ -232,10 +235,7 @@ def monomial_sampler_expansion(eta: IntegerPartition, x: FrequencyVector) -> Fra
     """p^o_eta(x) via the alternating set-partition expansion, summed as one
     integer over the common denominator D^|eta|."""
     n = eta.n
-    d, sums = _power_sum_table(x, n)
-    d_powers = [1]
-    for _ in range(n):
-        d_powers.append(d_powers[-1] * d)
+    d_powers, sums = _power_sum_table(x, n)
     total = 0
     for xi, coeff in expansion_of_monomial_sampler(eta):
         term = coeff * d_powers[n - xi.n]

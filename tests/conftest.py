@@ -12,8 +12,10 @@ factorization) instead of the generator recursion, the generator recursion
 itself also runs in Fractions, dividing at every level, instead of in integers
 over one common denominator, the float combine converts every coefficient,
 eigenvalue and time afresh on each call instead of once per evaluator and sums
-by mpmath.fdot instead of on raw mpf tuples, and expected rationals are
-recomputed from first principles where frozen.
+by mpmath.fdot instead of on raw mpf tuples, the multinomial constant divides
+by the factorials of the multiplicity vector alpha instead of multiplying the
+run counts of equal parts, and expected rationals are recomputed from first
+principles where frozen.
 """
 
 from __future__ import annotations
@@ -97,6 +99,17 @@ def bell_power_sum_moment(eta: IntegerPartition, theta) -> Fraction:
     return total / rising_factorial(theta, eta.n)
 
 
+def alpha_multinomial_constant(eta: IntegerPartition) -> int:
+    """n! / (eta_1! ... eta_l! alpha_1! ... alpha_n!) from the multiplicity
+    vector alpha."""
+    denom = 1
+    for p in eta.parts:
+        denom *= factorial(p)
+    for a in eta.alpha:
+        denom *= factorial(a)
+    return factorial(eta.n) // denom
+
+
 def atom_power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
     """phi_eta(x) as a product of per-atom Fraction power sums, with
     phi_1 == 1."""
@@ -130,14 +143,14 @@ def tuple_walk_sampler(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
 def evaluate_coeff_map(coeffs, x: FrequencyVector) -> Fraction:
     """sum_xi c_xi phi_xi(x), every term from one power-sum table of x."""
     n = max((xi.n for xi in coeffs), default=0)
-    d, sums = _power_sum_table(x, n)
+    d_powers, sums = _power_sum_table(x, n)
     total = Fraction(0)
     for xi, c in coeffs.items():
-        value = d ** (n - xi.n)
+        value = d_powers[n - xi.n]
         for p in xi.parts:
             value *= sums[p]
         total += c * value
-    return total / d**n
+    return total / d_powers[n]
 
 
 def projection_eigen_coefficients(f, x: FrequencyVector, theta) -> dict[int, Fraction]:

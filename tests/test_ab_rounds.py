@@ -31,3 +31,16 @@ def test_a_checkout_against_itself_agrees_on_one_round():
     assert lines[0].startswith("round 0 (base first): wall_s ")
     assert lines[1] == "transient_grid, 1 rounds at seed 1: median per-round change/base"
     assert [line.split()[0] for line in lines[2:]] == ["wall_s", "latency_p50_s"]
+
+
+def test_relative_checkout_paths_resolve_once():
+    # Run from the parent directory, as `ab_rounds.py a b` beside two
+    # checkouts; each worker starts inside its checkout, so a path left
+    # relative would resolve a second time there.
+    parent, name = os.path.split(os.path.abspath(_ROOT))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(name, "tools", "ab_rounds.py"), name, name,
+         "--workload", "t0_distribution", "--rounds", "1", "--seed", "1"],
+        cwd=parent, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("t0_distribution, 1 rounds")

@@ -7,9 +7,18 @@ import sys
 from fractions import Fraction
 
 import neutral_sampler
-from neutral_sampler.combinatorics import IntegerPartition, enumerate_partitions_min2
+from neutral_sampler.combinatorics import (
+    IntegerPartition,
+    enumerate_partitions,
+    enumerate_partitions_min2,
+)
 from neutral_sampler.moments import LABEL_CACHE_SIZE, label_numerators
-from neutral_sampler.sampling import FrequencyVector, random_frequency_vector
+from neutral_sampler.sampling import (
+    FrequencyVector,
+    _power_sum_table,
+    random_frequency_vector,
+    sampling_probability,
+)
 from neutral_sampler.transient import (
     DECAY_CACHE_SIZE,
     EIGENCOEFF_CACHE_SIZE,
@@ -35,6 +44,7 @@ CACHES = {
     "moments.power_sum_moment",
     "moments.label_numerators",
     "moments.level",
+    "sampling._power_sum_table",
     "sampling.expansion_of_monomial_sampler",
     "transient.get_evaluator",
     "transient.SpectralEvaluator._decay",
@@ -82,6 +92,43 @@ def test_label_cache_holds_every_label_up_to_size_17_on_one_vector():
     info = label_numerators.cache_info()
     assert info.currsize == 297
     assert info.misses == info.currsize
+
+
+def test_power_sum_table_cache_holds_at_most_its_bound():
+    bound = _power_sum_table.cache_parameters()["maxsize"]
+    assert bound == 256
+    rng = random.Random(11)
+    keys = set()
+    while len(keys) < bound + 50:
+        x = random_frequency_vector(rng, max_atoms=4, with_dust=True)
+        k_max = rng.randint(1, 9)
+        keys.add((x, k_max))
+        _power_sum_table(x, k_max)
+        assert _power_sum_table.cache_info().currsize <= bound
+    assert _power_sum_table.cache_info().currsize == bound
+
+
+def test_power_sum_table_misses_once_per_vector_and_size():
+    # Every eta of n <= 9 on four vectors, as in a t0_distribution round:
+    # one table per (vector, size), read by every other eta of that size.
+    vectors = [FrequencyVector.parse(text)
+               for text in ("1/2,1/3,1/6", "1/2,1/4", "", "3/7,2/7")]
+    _power_sum_table.cache_clear()
+    for x in vectors:
+        for n in range(1, 10):
+            for eta in enumerate_partitions(n):
+                sampling_probability(eta, x)
+    info = _power_sum_table.cache_info()
+    assert info.misses == 36
+    assert info.hits == 4 * sum(len(enumerate_partitions(n)) for n in range(1, 10)) - 36
+
+
+def test_a_cached_power_sum_table_is_a_pair_of_tuples():
+    d_powers, sums = table = _power_sum_table(FrequencyVector.parse("1/2,1/3"), 4)
+    assert type(table) is tuple and len(table) == 2
+    assert type(d_powers) is tuple and type(sums) is tuple
+    assert d_powers == (1, 6, 36, 216, 1296)
+    assert sums[1:] == (6, 3**2 + 2**2, 3**3 + 2**3, 3**4 + 2**4)
 
 
 def test_decay_cache_holds_at_most_its_bound():

@@ -14,7 +14,9 @@ from neutral_sampler.combinatorics import (
     enumerate_set_partitions,
     multinomial_constant,
 )
-from conftest import bell, partition_count, stirling2
+from neutral_sampler.moments import generator_children
+from neutral_sampler.sampling import expansion_of_monomial_sampler
+from conftest import alpha_multinomial_constant, bell, partition_count, stirling2
 
 
 class TestIntegerPartition:
@@ -50,6 +52,21 @@ class TestIntegerPartition:
         a = IntegerPartition.of(3, 1)
         b = IntegerPartition.of(2)
         assert a.concat(b).parts == (3, 2, 1)
+
+    @given(st.lists(st.integers(1, 6), max_size=6),
+           st.lists(st.integers(2, 6), max_size=4))
+    def test_size_is_the_sum_of_the_parts(self, a, b):
+        # Every way a label is made stores the same size as its parts sum to.
+        text = ",".join(str(p) for p in a)
+        labels = [IntegerPartition(tuple(sorted(a, reverse=True))),
+                  IntegerPartition.of(*a), IntegerPartition.parse(text),
+                  IntegerPartition.of(*a).concat(IntegerPartition.of(*b))]
+        labels += [child for child, _ in generator_children(IntegerPartition.of(*b))]
+        labels += [xi for xi, _ in expansion_of_monomial_sampler(IntegerPartition.of(*a))]
+        for label in labels:
+            assert label.n == sum(label.parts), label
+        with pytest.raises(AttributeError):
+            labels[0].n = 0
 
     @given(st.lists(st.integers(1, 9), max_size=8),
            st.lists(st.integers(1, 9), max_size=8))
@@ -191,6 +208,12 @@ class TestMultinomialConstant:
         for eta in enumerate_partitions(n):
             c = multinomial_constant(eta)
             assert c > 0 and c.denominator == 1
+
+    def test_equals_the_alpha_vector_formula(self):
+        assert multinomial_constant(EMPTY) == alpha_multinomial_constant(EMPTY) == 1
+        for n in range(1, 17):
+            for eta in enumerate_partitions(n):
+                assert multinomial_constant(eta) == alpha_multinomial_constant(eta), eta
 
     def test_is_an_int(self):
         assert all(type(multinomial_constant(eta)) is int

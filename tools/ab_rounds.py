@@ -69,12 +69,15 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
+    # run_side starts each worker inside its checkout, where a relative path
+    # would resolve a second time.
+    args.base, args.change = os.path.abspath(args.base), os.path.abspath(args.change)
     for checkout in (args.base, args.change):
         if not os.path.isfile(os.path.join(checkout, "bench", "worker.py")):
             parser.error("%s has no bench/worker.py" % checkout)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    sys.path.insert(0, os.path.join(os.path.abspath(args.base), "bench"))
+    sys.path.insert(0, os.path.join(args.base, "bench"))
     import checks
     import workloads
     if args.workload not in workloads.WORKLOADS:
