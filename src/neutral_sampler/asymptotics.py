@@ -3,7 +3,8 @@ together with the scan machinery that confronts these predictions and the
 rate functions of `rates` with exact finite-theta values.
 
 The Lemma 4.1 scan is exact, so mpmath and the float layer (`transient`) are
-imported only inside the functions that compute times or float values.
+imported only inside the functions that compute times or float values: raw
+mpmath.libmp operations rounded to nearest, log theta kept by the evaluator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import factorial
 from typing import Optional
 
 from .combinatorics import EMPTY, IntegerPartition
-from .config import DEFAULT_PRECISION_BITS, SLOPE_SCAN_PRECISION_BITS
+from .config import DEFAULT_PRECISION_BITS, SLOPE_SCAN_PRECISION_BITS, check_precision
 from .moments import check_min_part, check_theta, ewens_prefactor, power_sum_moment
 from .rates import K_SUBLOG, rate_function
 from .records import FrozenRecord
@@ -68,22 +69,26 @@ class RegimeSpec(FrozenRecord):
         return theta
 
     def time_at(self, theta, precision_bits: int = DEFAULT_PRECISION_BITS):
-        return self._time_and_log(theta, precision_bits)[0]
-
-    def _time_and_log(self, theta, precision_bits: int):
-        """(t(theta), log theta), the log None for c/theta, which takes none."""
         import mpmath
-        from .transient import _to_mpf
-        theta = self.check_theta(theta)
-        with mpmath.workprec(precision_bits):
-            th = _to_mpf(theta)
-            if self.kind is RegimeKind.PROPORTIONAL:
-                return _to_mpf(self.parameter) / th, None
-            log_theta = mpmath.log(th)
-            if self.kind is RegimeKind.LOGARITHMIC:
-                return _to_mpf(self.parameter) * log_theta / th, log_theta
-            # Sublog: the concrete family log(theta) / (theta loglog(theta)).
-            return log_theta / (th * mpmath.log(log_theta)), log_theta
+        return mpmath.mp.make_mpf(self._time_and_speed(theta, precision_bits)[0])
+
+    def _time_and_speed(self, theta, prec: int):
+        """(t(theta), the slope's speed) as raw mpf values: the speed is
+        log theta, theta t on the sublog family and None for c/theta."""
+        from mpmath.libmp import mpf_div, mpf_log, mpf_mul, round_nearest as rnd
+        from .transient import _raw_mpf, get_evaluator
+        theta, prec = self.check_theta(theta), check_precision(prec)
+        th = _raw_mpf(theta, prec)
+        if self.kind is RegimeKind.PROPORTIONAL:
+            return mpf_div(_raw_mpf(self.parameter, prec), th, prec, rnd), None
+        log_theta = get_evaluator(theta, prec)._log_theta()
+        if self.kind is RegimeKind.LOGARITHMIC:
+            k_log = mpf_mul(_raw_mpf(self.parameter, prec), log_theta, prec, rnd)
+            return mpf_div(k_log, th, prec, rnd), log_theta
+        # Sublog: the concrete family log(theta) / (theta loglog(theta)).
+        t = mpf_div(log_theta, mpf_mul(th, mpf_log(log_theta, prec, rnd), prec, rnd),
+                    prec, rnd)
+        return t, mpf_mul(th, t, prec, rnd)
 
     def limit_moment(self, omega: IntegerPartition, x: FrequencyVector,
                      precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -92,11 +97,12 @@ class RegimeSpec(FrozenRecord):
         if self.kind is not RegimeKind.PROPORTIONAL:
             return power_sum_product(omega, FrequencyVector(()))
         import mpmath
-        from .transient import _to_mpf
-        exact = power_sum_product(omega, x)
-        with mpmath.workprec(precision_bits):
-            return _to_mpf(exact) * mpmath.exp(
-                _to_mpf(-self.parameter / 2) * omega.n)
+        from mpmath.libmp import mpf_exp, mpf_mul, mpf_mul_int, round_nearest as rnd
+        from .transient import _raw_mpf
+        prec = precision_bits
+        rate = mpf_mul_int(_raw_mpf(-self.parameter / 2, prec), omega.n, prec, rnd)
+        return mpmath.mp.make_mpf(mpf_mul(_raw_mpf(power_sum_product(omega, x), prec),
+                                          mpf_exp(rate, prec, rnd), prec, rnd))
 
 
 class MomentScanRow(FrozenRecord):
@@ -113,18 +119,20 @@ def moment_limit_scan(
     """Exact transient moments along a theta grid against the predicted
     limit; the grid and omega are checked before any point is computed."""
     import mpmath
-    from .transient import _to_mpf, get_evaluator
+    from mpmath.libmp import mpf_abs, mpf_sub, round_nearest as rnd
+    from .transient import _raw_mpf, get_evaluator
     thetas = [regime.check_theta(theta) for theta in theta_grid]
     if omega != EMPTY:
         check_min_part(omega, "omega")
-    predicted = regime.limit_moment(omega, x, precision_bits)
+    prec = precision_bits
+    predicted = regime.limit_moment(omega, x, prec)
     rows = []
     for theta in thetas:
-        t = regime.time_at(theta, precision_bits)
-        computed = get_evaluator(theta, precision_bits).moment(omega, x, t)
-        with mpmath.workprec(precision_bits):
-            err = abs(_to_mpf(computed) - _to_mpf(predicted))
-        rows.append(MomentScanRow(theta, computed, predicted, err))
+        t = regime.time_at(theta, prec)
+        computed = get_evaluator(theta, prec).moment(omega, x, t)
+        err = mpf_abs(mpf_sub(_raw_mpf(computed, prec), _raw_mpf(predicted, prec),
+                              prec, rnd), prec, rnd)
+        rows.append(MomentScanRow(theta, computed, predicted, mpmath.mp.make_mpf(err)))
     return rows
 
 
@@ -205,7 +213,8 @@ def ldp_slope_scan(
     the rate-function prediction, for theta > 1, all checked before any
     point; underflowing rows are flagged, not faked."""
     import mpmath
-    from .transient import _to_mpf, get_evaluator
+    from mpmath.libmp import mpf_abs, mpf_div, mpf_log, mpf_neg, mpf_sub, round_nearest as rnd
+    from .transient import _raw_mpf, get_evaluator
     if isinstance(k, float) and not math.isfinite(k):  # no time t(theta) at k = inf
         raise ValueError("the slope scan needs a finite k, got k=%s" % k)
     target = rate_function(n, eta, k)
@@ -216,19 +225,17 @@ def ldp_slope_scan(
         if theta <= 1:  # the speed log(theta) is 0 at 1 and negative below
             raise ValueError("the slope scan needs theta > 1, got theta=%s" % theta)
     thetas = [regime.check_theta(theta) for theta in thetas]
+    prec = precision_bits
     rows = []
     for theta in thetas:
         # The speed is log theta, not theta t / k: that moves the last bit
         # of 1 slope in 5.
-        t, speed = regime._time_and_log(theta, precision_bits)
-        p = get_evaluator(theta, precision_bits).sampling_probability(eta, x, t)
-        with mpmath.workprec(precision_bits):
-            if p <= 0:
-                rows.append(SlopeScanRow(theta, p, None, None, True))
-                continue
-            if regime.kind is RegimeKind.SUBLOG:
-                speed = _to_mpf(theta) * t
-            s = -mpmath.log(p) / speed
-            err = abs(s - _to_mpf(target.value))
-        rows.append(SlopeScanRow(theta, p, s, err, False))
+        t, speed = regime._time_and_speed(theta, prec)
+        p = get_evaluator(theta, prec).sampling_probability(eta, x, mpmath.mp.make_mpf(t))
+        if p <= 0:
+            rows.append(SlopeScanRow(theta, p, None, None, True))
+            continue
+        s = mpf_div(mpf_neg(mpf_log(p._mpf_, prec, rnd)), speed, prec, rnd)
+        err = mpf_abs(mpf_sub(s, _raw_mpf(target.value, prec), prec, rnd), prec, rnd)
+        rows.append(SlopeScanRow(theta, p, mpmath.mp.make_mpf(s), mpmath.mp.make_mpf(err), False))
     return rows

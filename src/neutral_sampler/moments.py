@@ -76,10 +76,12 @@ def esf_monomial_moment(eta: IntegerPartition, theta) -> Fraction:
     """Moment of the monomial sampler p^o_eta under PD(theta).
 
     Equals prod_i (eta_i - 1)! * theta^l / theta_(n) by the Ewens sampling
-    formula; valid for any partition with parts >= 1 (1 for the empty one).
+    formula, one integer quotient for theta = p/q; valid for any partition
+    with parts >= 1 (1 for the empty one).
     """
     theta = check_theta(theta)
-    return ewens_prefactor(eta) * theta**eta.l / rising_factorial(theta, eta.n)
+    p, q, n, l = theta.numerator, theta.denominator, eta.n, eta.l
+    return Fraction(ewens_prefactor(eta) * p**l * q**(n - l), _rising_numerator(p, q, n))
 
 
 def check_min_part(label: IntegerPartition, name: str):

@@ -3,13 +3,16 @@ sampling probabilities E_x f(X_t) = sum_m C_m e^{-lambda_m t}.
 
 The exact eigen-coefficients C_m come from moments.eigen_coefficients, one
 recursion shared by every evaluator at a theta.  Each evaluator works at a
-configurable (default 256-bit) precision on raw mpmath.libmp tuples, with no
+configurable (default 256-bit) precision on raw mpmath.libmp values, with no
 precision context: it rounds the sampler coefficients of one (eta, x) once,
-each lambda_m once and each e^{-lambda_m t} once per (m, t); a moment rounds
-its coefficients on each call, since no traffic repeats an (omega, x).  The
-sum of the exact products C_m e^{-lambda_m t} is rounded once to nearest (the
-rule of mpmath.fdot), so with lambda_m and t exact at `bits`, |v - v_exact| <=
-ulp(v)/2 + 2^-bits sum_m |C_m| e^{-lambda_m t} (3 + lambda_m t).
+each lambda_m once and each e^{-lambda_m t} once per (m, t), kept in one row
+per (t, top m) that extends the row of top m - 1, and log theta once, for the
+scans of `asymptotics`; a moment rounds its coefficients on each call, since
+no traffic repeats an (omega, x).  A value is one integer pass: the exact
+products C_m e^{-lambda_m t} are summed as mpf_sum sums (a term over 2 * bits
+binary places from the running sum is dropped or replaces it) and rounded once
+to nearest (the rule of mpmath.fdot), so with lambda_m and t exact at `bits`,
+|v - v_exact| <= ulp(v)/2 + 2^-bits sum_m |C_m| e^{-lambda_m t} (3 + lambda_m t).
 t = inf is a sentinel that drops all exponential terms and returns the exact
 stationary value.
 """
@@ -21,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import (from_float, from_int, mpf_div, mpf_exp, mpf_mul, mpf_neg,
-                          mpf_pos, mpf_sum, round_nearest)
+from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_div, mpf_exp, mpf_log,
+                          mpf_mul, mpf_neg, mpf_pos, round_nearest)
 
 from .combinatorics import EMPTY, IntegerPartition, multinomial_constant
 from .config import DEFAULT_PRECISION_BITS, check_precision
@@ -41,8 +44,8 @@ from .sampling import FrequencyVector, sampler_expansion
 #: per (eta, x): room for every eta of n <= 9 (96 of them) on two vectors.
 EIGENCOEFF_CACHE_SIZE = 256
 
-#: Entries per evaluator in the cache of e^{-lambda_m t}, one per (m, t):
-#: room for m = 2..9 at 64 distinct times.
+#: Entries per evaluator in the cache of rows of e^{-lambda_m t}, one per
+#: (t, top m): room for the rows up to top m = 9 at 56 distinct times.
 DECAY_CACHE_SIZE = 512
 
 #: Evaluators kept by get_evaluator, one per (theta, precision_bits).
@@ -92,10 +95,6 @@ def _raw_mpf(q, prec: int) -> tuple:
     return mpf_pos(q._mpf_, prec, round_nearest)
 
 
-def _to_mpf(q) -> mpmath.mpf:
-    return mpmath.mp.make_mpf(_raw_mpf(q, mpmath.mp.prec))
-
-
 class SpectralEvaluator:
     """Moments E_x phi_omega(X_t) and transient sampling probabilities at
     one theta, for every sample size and every t >= 0."""
@@ -107,8 +106,9 @@ class SpectralEvaluator:
         # evaluators alive.
         self._sampler_terms = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
             self._sampler_terms)
-        self._decay = lru_cache(maxsize=DECAY_CACHE_SIZE)(self._decay)
+        self._decay_row = lru_cache(maxsize=DECAY_CACHE_SIZE)(self._decay_row)
         self._rate = lru_cache(maxsize=LEVEL_CACHE_SIZE)(self._rate)
+        self._log = None
 
     # -- exact layer ---------------------------------------------------
 
@@ -127,32 +127,62 @@ class SpectralEvaluator:
     def _sampler_eigencoeffs(self, eta: IntegerPartition, x: FrequencyVector):
         return self.eigen_coefficients(sampler_expansion(eta), x)
 
-    # -- float layer, on raw mpf tuples at precision_bits ---------------
+    # -- float layer, on raw mpf values at precision_bits ---------------
 
-    def _mpf_terms(self, eigen: dict[int, Fraction]) -> tuple[tuple[int, tuple], ...]:
-        return tuple((m, _raw_mpf(c, self.precision_bits)) for m, c in sorted(eigen.items()))
+    def _mpf_terms(self, eigen: dict[int, Fraction]):
+        """(top m, ((m, signed mantissa, exponent), ...)), each C_m rounded once."""
+        raw = [(m, _raw_mpf(c, self.precision_bits)) for m, c in sorted(eigen.items())]
+        return max(eigen, default=0), tuple(
+            (m, -man if sign else man, exp) for m, (sign, man, exp, _) in raw)
 
     def _sampler_terms(self, eta: IntegerPartition, x: FrequencyVector):
         return self._mpf_terms(self._sampler_eigencoeffs(eta, x))
 
     def _rate(self, m: int) -> tuple:
-        """lambda_m at the evaluator's precision."""
-        return _raw_mpf(eigenvalue(m, self.theta), self.precision_bits)
+        """lambda_m = m (q (m - 1) + p) / (2 q) for theta = p/q, rounded once."""
+        p, q = self.theta.numerator, self.theta.denominator
+        return mpf_div(from_int(m * (q * (m - 1) + p)), from_int(2 * q),
+                       self.precision_bits, round_nearest)
 
-    def _decay(self, m: int, t) -> tuple:
-        """e^{-lambda_m t}.  Equal times of different types (0.5,
-        Fraction(1, 2), mpf(0.5)) share an entry: they convert to the same
-        mpf."""
+    def _decay_row(self, t, top: int) -> tuple[tuple[int, int], ...]:
+        """(mantissa, exponent) of e^{-lambda_m t} for m <= top, (1, 0) below 2,
+        extending the row of top - 1.  Equal times of different types (0.5,
+        Fraction(1, 2), mpf(0.5)) share an entry: they convert to one mpf."""
+        if top < 2:
+            return ((1, 0),) * (top + 1)
         prec = self.precision_bits
-        arg = mpf_mul(mpf_neg(self._rate(m)), _raw_mpf(t, prec), prec, round_nearest)
-        return mpf_exp(arg, prec, round_nearest)
+        arg = mpf_mul(mpf_neg(self._rate(top)), _raw_mpf(t, prec), prec, round_nearest)
+        return self._decay_row(t, top - 1) + (mpf_exp(arg, prec, round_nearest)[1:3],)
 
-    def _combine(self, terms: tuple[tuple[int, tuple], ...], t) -> mpmath.mpf:
-        """sum_m C_m e^{-lambda_m t}: exact products, one rounding to nearest
-        at the evaluator's precision (the rule of mpmath.fdot)."""
-        return mpmath.mp.make_mpf(mpf_sum(
-            [c if m < 2 else mpf_mul(c, self._decay(m, t)) for m, c in terms],
-            self.precision_bits, round_nearest))
+    def _combine(self, top_terms, t) -> mpmath.mpf:
+        """sum_m C_m e^{-lambda_m t}: the exact products summed as mpf_sum sums
+        at the evaluator's precision, rounded once to nearest (as mpmath.fdot)."""
+        top, terms = top_terms
+        row = self._decay_row(t, top)
+        far = 2 * self.precision_bits
+        man = exp = 0
+        for m, cman, cexp in terms:
+            dman, dexp = row[m]
+            xman, xexp = cman * dman, cexp + dexp
+            delta = xexp - exp
+            if delta >= 0:  # a term far above the sum replaces it
+                if delta > far and (not man or delta - man.bit_length() > far):
+                    man, exp = xman, xexp
+                else:
+                    man += xman << delta
+            elif -delta - xman.bit_length() > far:  # one far below is dropped
+                if not man:
+                    man, exp = xman, xexp
+            else:
+                man, exp = (man << -delta) + xman, xexp
+        return mpmath.mp.make_mpf(from_man_exp(man, exp, self.precision_bits, round_nearest))
+
+    def _log_theta(self) -> tuple:
+        """log theta at the evaluator's precision, taken on first use."""
+        if self._log is None:
+            bits = self.precision_bits
+            self._log = mpf_log(_raw_mpf(self.theta, bits), bits, round_nearest)
+        return self._log
 
     # -- public surface ------------------------------------------------
 

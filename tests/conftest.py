@@ -12,9 +12,13 @@ factorization) instead of the generator recursion, the generator recursion
 itself also runs in Fractions, dividing at every level, instead of in integers
 over one common denominator, the float combine converts every coefficient,
 eigenvalue and time afresh on each call instead of once per evaluator and sums
-by mpmath.fdot instead of on raw mpf tuples, the multinomial constant divides
+by mpmath.fdot instead of on raw mpf tuples, the scan times, weak limits,
+slopes and errors run on mpf objects inside mpmath.workprec instead of on raw
+mpf tuples with one log theta per evaluator, the multinomial constant divides
 by the factorials of the multiplicity vector alpha instead of multiplying the
-run counts of equal parts, and expected rationals are recomputed from first
+run counts of equal parts, the Ewens moment of a monomial sampler divides
+Fraction powers of theta by the rising factorial instead of forming one
+quotient of integers, and expected rationals are recomputed from first
 principles where frozen.
 """
 
@@ -28,6 +32,7 @@ import mpmath
 import pytest
 from hypothesis import strategies as st
 
+from neutral_sampler.asymptotics import RegimeKind, RegimeSpec
 from neutral_sampler.basis import build_basis, inner_product
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
 from neutral_sampler.moments import (
@@ -36,7 +41,9 @@ from neutral_sampler.moments import (
     level,
     rising_factorial,
 )
-from neutral_sampler.sampling import FrequencyVector, _power_sum_table
+from neutral_sampler.rates import K_SUBLOG, rate_function
+from neutral_sampler.sampling import FrequencyVector, _power_sum_table, power_sum_product
+from neutral_sampler.transient import get_evaluator
 
 
 @lru_cache(maxsize=None)
@@ -108,6 +115,15 @@ def alpha_multinomial_constant(eta: IntegerPartition) -> int:
     for a in eta.alpha:
         denom *= factorial(a)
     return factorial(eta.n) // denom
+
+
+def ratio_esf_monomial_moment(eta: IntegerPartition, theta) -> Fraction:
+    """prod_i (eta_i - 1)! theta^l / theta_(n) in Fraction arithmetic."""
+    theta = Fraction(theta)
+    prefactor = 1
+    for p in eta.parts:
+        prefactor *= factorial(p - 1)
+    return prefactor * theta**eta.l / rising_factorial(theta, eta.n)
 
 
 def atom_power_sum_product(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
@@ -246,6 +262,70 @@ def direct_combine(eigen: dict[int, Fraction], theta, t, bits: int) -> mpmath.mp
         decays = [mpmath.exp(-to_mpf(Fraction(m) * (m - 1 + theta) / 2) * tval)
                   if m >= 2 else 1 for m, _ in terms]
         return mpmath.fdot([to_mpf(c) for _, c in terms], decays)
+
+
+def _workprec_mpf(q) -> mpmath.mpf:
+    """q rounded once to nearest at the working precision."""
+    if isinstance(q, (int, Fraction)):
+        return mpmath.fdiv(q.numerator, q.denominator)
+    return +q
+
+
+def workprec_time_and_log(regime, theta, bits: int):
+    """(t(theta), log theta) of a RegimeSpec by mpf arithmetic in
+    mpmath.workprec(bits), the log None for c/theta."""
+    with mpmath.workprec(bits):
+        th = _workprec_mpf(Fraction(theta))
+        if regime.kind is RegimeKind.PROPORTIONAL:
+            return _workprec_mpf(regime.parameter) / th, None
+        log_theta = mpmath.log(th)
+        if regime.kind is RegimeKind.LOGARITHMIC:
+            return _workprec_mpf(regime.parameter) * log_theta / th, log_theta
+        return log_theta / (th * mpmath.log(log_theta)), log_theta
+
+
+def workprec_moment_limit_rows(omega, x, regime, grid, bits: int) -> list:
+    """(theta, computed, predicted, error) per grid point, the prediction
+    e^{-c|omega|/2} phi_omega(x) at c/theta (else pure dust) and the error
+    by mpf arithmetic in mpmath.workprec(bits); the moment from the shared
+    evaluator."""
+    if regime.kind is RegimeKind.PROPORTIONAL:
+        with mpmath.workprec(bits):
+            predicted = _workprec_mpf(power_sum_product(omega, x)) * mpmath.exp(
+                _workprec_mpf(-regime.parameter / 2) * omega.n)
+    else:
+        predicted = power_sum_product(omega, FrequencyVector(()))
+    rows = []
+    for theta in grid:
+        t, _ = workprec_time_and_log(regime, theta, bits)
+        computed = get_evaluator(theta, bits).moment(omega, x, t)
+        with mpmath.workprec(bits):
+            error = abs(_workprec_mpf(computed) - _workprec_mpf(predicted))
+        rows.append((theta, computed, predicted, error))
+    return rows
+
+
+def workprec_slope_rows(n: int, eta, k, grid, x, bits: int) -> list:
+    """(theta, P, slope, error, underflow) per grid point: the slope
+    -log P / log theta (-log P / (theta t) at k = 0) and its error against
+    the rate function by mpf arithmetic in mpmath.workprec(bits); P from
+    the shared evaluator."""
+    target = rate_function(n, eta, k)
+    sublog = Fraction(k) == K_SUBLOG
+    regime = RegimeSpec.sublog() if sublog else RegimeSpec.logarithmic(k)
+    rows = []
+    for theta in grid:
+        t, speed = workprec_time_and_log(regime, theta, bits)
+        p = get_evaluator(theta, bits).sampling_probability(eta, x, t)
+        with mpmath.workprec(bits):
+            if p <= 0:
+                rows.append((theta, p, None, None, True))
+                continue
+            if sublog:
+                speed = _workprec_mpf(Fraction(theta)) * t
+            s = -mpmath.log(p) / speed
+            rows.append((theta, p, s, abs(s - _workprec_mpf(target.value)), False))
+    return rows
 
 
 #: theta for the properties: small p/q, a non-integer with a larger

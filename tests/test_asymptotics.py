@@ -22,6 +22,9 @@ from neutral_sampler.rates import (
     rate_function,
 )
 from neutral_sampler.sampling import FrequencyVector, power_sum_product
+from neutral_sampler import transient
+from neutral_sampler.transient import get_evaluator
+from conftest import workprec_moment_limit_rows, workprec_slope_rows, workprec_time_and_log
 
 P2 = IntegerPartition.of(2)
 P3 = IntegerPartition.of(3)
@@ -29,6 +32,65 @@ P3 = IntegerPartition.of(3)
 
 def _no_evaluation(*args):
     raise AssertionError("a point was evaluated")
+
+
+def _logged_arguments(monkeypatch) -> list:
+    """The argument of every log taken from here on, through mpmath.log or
+    mpf_log, as an mpf; evaluators built earlier are dropped, since each
+    keeps the log of its theta."""
+    get_evaluator.cache_clear()
+    logs, log, mpf_log = [], mpmath.log, mpmath.libmp.mpf_log
+
+    def logged_mpf_log(x, *args):
+        logs.append(mpmath.mp.make_mpf(x))
+        return mpf_log(x, *args)
+    monkeypatch.setattr(mpmath, "log", lambda v: logs.append(v) or log(v))
+    monkeypatch.setattr(mpmath.libmp, "mpf_log", logged_mpf_log)
+    monkeypatch.setattr(transient, "mpf_log", logged_mpf_log)
+    return logs
+
+
+def _raw(value):
+    """The _mpf_ tuple of an mpf, any other value as it is."""
+    return getattr(value, "_mpf_", value)
+
+
+#: The three scales, and a grid on which each is a time (theta > e).
+ORACLE_REGIMES = [RegimeSpec.proportional(Fraction(2, 3)),
+                  RegimeSpec.logarithmic(Fraction(1, 2)), RegimeSpec.sublog()]
+ORACLE_GRID = [Fraction(3), Fraction(1000), Fraction(123457, 7), Fraction(10**8)]
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+@pytest.mark.parametrize("regime", ORACLE_REGIMES, ids=lambda r: r.kind.value)
+class TestScansEqualTheWorkprecOracle:
+    """Times, weak limits, slopes and errors on raw tuples, bit for bit
+    against the same formulas on mpf objects in mpmath.workprec."""
+
+    def test_time_at(self, regime, bits):
+        for theta in ORACLE_GRID:
+            assert regime.time_at(theta, bits)._mpf_ == \
+                workprec_time_and_log(regime, theta, bits)[0]._mpf_, theta
+
+    def test_moment_limit_scan(self, regime, bits, x_full):
+        for omega in (P2, IntegerPartition.of(3, 2), IntegerPartition.of(2, 2, 2)):
+            rows = moment_limit_scan(omega, x_full, regime, ORACLE_GRID, bits)
+            want = workprec_moment_limit_rows(omega, x_full, regime, ORACLE_GRID, bits)
+            assert [tuple(map(_raw, (r.theta, r.computed, r.predicted, r.error)))
+                    for r in rows] == [tuple(map(_raw, w)) for w in want], omega
+
+    def test_ldp_slope_scan(self, regime, bits, x_full):
+        # The slope scan runs on the logarithmic scales (k > 0) and on the
+        # sublog one (k = 0); the proportional case takes k = 4.
+        k = {"proportional": 4, "logarithmic": regime.parameter, "sublog": K_SUBLOG}[
+            regime.kind.value]
+        for n, eta in ((2, P2), (5, IntegerPartition.of(2, 2, 1)),
+                       (7, IntegerPartition.of(3, 2, 1, 1))):
+            rows = ldp_slope_scan(n, eta, k, ORACLE_GRID, x_full, bits)
+            want = workprec_slope_rows(n, eta, k, ORACLE_GRID, x_full, bits)
+            assert [tuple(map(_raw, (r.theta, r.probability, r.slope, r.abs_error,
+                                     r.underflow))) for r in rows] == \
+                [tuple(map(_raw, w)) for w in want], (eta, k)
 
 
 class TestRegimeSpec:
@@ -57,6 +119,13 @@ class TestRegimeSpec:
             regime.check_theta(theta)
         with pytest.raises(ValueError, match="got theta=%s" % theta):
             regime.time_at(theta)
+
+    @pytest.mark.parametrize("regime", ORACLE_REGIMES, ids=lambda r: r.kind.value)
+    def test_time_at_refuses_a_precision_out_of_range(self, regime):
+        # On every scale the bound of the evaluator, which keeps log theta.
+        for bits in (32, 8193):
+            with pytest.raises(ValueError, match="precision_bits must be in"):
+                regime.time_at(Fraction(10), bits)
 
     def test_logarithmic_time_is_zero_at_one(self):
         assert RegimeSpec.logarithmic(1).time_at(1) == 0
@@ -347,10 +416,18 @@ class TestSlopeScan:
     def test_one_log_of_theta_per_logarithmic_point(self, x_full, monkeypatch):
         # The regime hands the scan log(theta) with the time it took it for.
         grid = [10**d for d in (2, 4, 6)]
-        logs, log = [], mpmath.log
-        monkeypatch.setattr(mpmath, "log", lambda v: logs.append(v) or log(v))
+        logs = _logged_arguments(monkeypatch)
         ldp_slope_scan(2, P2, 1, [Fraction(th) for th in grid], x_full, 512)
         assert sum(v == th for v in logs for th in grid) == len(grid)
+
+    def test_two_slope_points_at_one_theta_take_one_log(self, x_full, monkeypatch):
+        # Both points share the evaluator at (theta, 512 bits), which takes
+        # log(theta) once.
+        theta = Fraction(10**5)
+        logs = _logged_arguments(monkeypatch)
+        ldp_slope_scan(5, IntegerPartition.of(2, 2, 1), Fraction(1, 2), [theta], x_full, 512)
+        ldp_slope_scan(5, IntegerPartition.of(3, 1, 1), Fraction(3, 2), [theta], x_full, 512)
+        assert sum(v == theta for v in logs) == 1
 
     def test_sublog_speed_used(self, x_full):
         rows = ldp_slope_scan(2, P2, K_SUBLOG, [Fraction(100)], x_full, 256)

@@ -47,7 +47,7 @@ CACHES = {
     "sampling._power_sum_table",
     "sampling.expansion_of_monomial_sampler",
     "transient.get_evaluator",
-    "transient.SpectralEvaluator._decay",
+    "transient.SpectralEvaluator._decay_row",
     "transient.SpectralEvaluator._rate",
     "transient.SpectralEvaluator._sampler_terms",
 }
@@ -132,18 +132,20 @@ def test_a_cached_power_sum_table_is_a_pair_of_tuples():
 
 
 def test_decay_cache_holds_at_most_its_bound():
-    # One (m, t) entry per call for omega = (2), so more distinct times than
-    # the bound fill the cache exactly to it.
+    # Two (t, top) rows per call for omega = (2), the row of top m = 2 and
+    # the one of m = 1 it extends, so more distinct times than the bound
+    # fill the cache exactly to it.
     ev = SpectralEvaluator(1)
     x = random_frequency_vector(random.Random(7), max_atoms=3, with_dust=True)
     for i in range(DECAY_CACHE_SIZE + 50):
         ev.moment(IntegerPartition.of(2), x, i / 64)
-    assert ev._decay.cache_info().currsize == DECAY_CACHE_SIZE
+        assert ev._decay_row.cache_info().currsize <= DECAY_CACHE_SIZE
+    assert ev._decay_row.cache_info().currsize == DECAY_CACHE_SIZE
 
 
 def test_cache_traffic_lists_every_cache():
     # One transient_grid round of the traffic tool names every cache above;
-    # the decay cache, which this workload's t grid revisits, hits.
+    # the decay-row cache, which this workload's t grid revisits, hits.
     tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                         "cache_traffic.py")
     proc = subprocess.run(
@@ -155,4 +157,4 @@ def test_cache_traffic_lists_every_cache():
     rows = {name: (int(hits), int(misses))
             for name, hits, misses in (line.split() for line in lines[1:-1])}
     assert rows.keys() == CACHES
-    assert rows["transient.SpectralEvaluator._decay"][0] > 0
+    assert rows["transient.SpectralEvaluator._decay_row"][0] > 0

@@ -23,7 +23,7 @@ from neutral_sampler.moments import (
 )
 from neutral_sampler.sampling import FrequencyVector
 from neutral_sampler.transient import get_evaluator
-from conftest import bell_power_sum_moment, coarsenings, thetas
+from conftest import bell_power_sum_moment, coarsenings, ratio_esf_monomial_moment, thetas
 
 THETA_GRID = [Fraction(1, 2), 1, 2, 4, 8, 16, 32]
 
@@ -72,6 +72,13 @@ class TestEsfMonomialMoment:
     def test_bad_theta(self):
         with pytest.raises(ValueError):
             esf_monomial_moment(IntegerPartition.of(2), 0)
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), 1, Fraction(77, 4), 10**8], ids=str)
+    def test_equals_the_ratio_formula(self, theta):
+        # One quotient of integers against theta^l / theta_(n) in Fractions,
+        # for every eta of n <= 10 and the empty one.
+        for eta in [EMPTY] + [eta for n in range(1, 11) for eta in enumerate_partitions(n)]:
+            assert esf_monomial_moment(eta, theta) == ratio_esf_monomial_moment(eta, theta), eta
 
 
 class TestPowerSumMoment:

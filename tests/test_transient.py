@@ -1,13 +1,16 @@
 import math
+import time
 from fractions import Fraction
 from math import comb
 
 import mpmath
 import pytest
-from mpmath.libmp import from_rational, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, from_rational, mpf_mul, mpf_sum, round_nearest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neutral_sampler import transient
+from neutral_sampler.asymptotics import RegimeSpec, ldp_slope_scan, moment_limit_scan
 from neutral_sampler.basis import monomial_labels
 from neutral_sampler.combinatorics import (
     EMPTY,
@@ -381,7 +384,9 @@ def test_a_finite_t_call_enters_no_precision_context(monkeypatch):
     # The float layer works on raw mpf tuples at the evaluator's precision,
     # so a cold call, which converts, exponentiates and combines, never
     # enters mpmath.workprec, leaves the global precision alone, and returns
-    # an mpf of at most precision_bits mantissa bits.
+    # an mpf of at most precision_bits mantissa bits; nor does a slope point
+    # or a weak-limit point, which take their time, limit and error on raw
+    # tuples too.
     entered = []
     workprec = mpmath.workprec
 
@@ -395,12 +400,16 @@ def test_a_finite_t_call_enters_no_precision_context(monkeypatch):
     for value in (ev.sampling_probability(IntegerPartition.of(3, 2, 1), x, 0.25),
                   ev.moment(IntegerPartition.of(3, 2), x, 0.25)):
         assert isinstance(value, mpmath.mpf) and value._mpf_[3] <= 128
+    (slope,) = ldp_slope_scan(2, IntegerPartition.of(2), 1, [Fraction(1000)], x, 128)
+    (limit,) = moment_limit_scan(IntegerPartition.of(2), x, RegimeSpec.proportional(1),
+                                 [Fraction(1000)], 128)
+    assert slope.slope._mpf_[3] <= 128 and limit.error._mpf_[3] <= 128
     assert entered == [] and mpmath.mp.prec == prec
 
 
-def _exact(value) -> Fraction:
-    """The rational value of an mpf or raw mpf tuple."""
-    return Fraction(*to_rational(getattr(value, "_mpf_", value)))
+def _exact(man: int, exp: int) -> Fraction:
+    """The rational value man 2^exp."""
+    return man * Fraction(2) ** exp
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
@@ -415,13 +424,58 @@ def test_finite_t_values_are_correctly_rounded(theta, bits):
         for t in (0, 0.001, Fraction(1, 10), 1.5):
             for eta in ETAS_UP_TO_7:
                 value = ev.sampling_probability(eta, x, t)
-                exact = sum((_exact(c) * (_exact(ev._decay(m, t)) if m >= 2 else 1)
-                             for m, c in ev._sampler_terms(eta, x)), Fraction(0))
+                top, terms = ev._sampler_terms(eta, x)
+                row = ev._decay_row(t, top)
+                exact = sum((_exact(man, exp) * _exact(*row[m]) for m, man, exp in terms),
+                            Fraction(0))
                 rounded = from_rational(exact.numerator, exact.denominator, bits,
                                         round_nearest)
                 if value._mpf_ != rounded:
                     wrong.append((str(x), t, eta))
     assert wrong == [], "%d of %d values" % (len(wrong), 3 * 4 * len(ETAS_UP_TO_7))
+
+
+#: Largest first: a kernel that shifts by the raw exponent gap fails at once
+#: there, by overflow or refused memory, before the gaps it can still hold.
+KERNEL_TIMES = (1e12, 1e6, 30, 0.7, 1e-3, 0)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(10**8)], ids=str)
+def test_combine_equals_mpf_sum_of_mpf_products(theta, bits):
+    # The fused combine against mpf_sum of mpf_mul products of the same
+    # cached terms and decay row, bit for bit; at t = 1e6 and 1e12 every
+    # decayed term lies more than 2 * bits binary places below C_0, where
+    # mpf_sum drops it.  Each value returns well under a second.
+    ev = SpectralEvaluator(theta, bits)
+    for x in map(FrequencyVector.parse, ("1/2,1/3,1/6", "2/7,1/5,1/9,1/11")):
+        for t in KERNEL_TIMES:
+            for eta in ETAS_UP_TO_7:
+                top, terms = ev._sampler_terms(eta, x)
+                row = ev._decay_row(t, top)
+                want = mpf_sum([mpf_mul(from_man_exp(man, exp), from_man_exp(*row[m]))
+                                for m, man, exp in terms], bits, round_nearest)
+                start = time.perf_counter()
+                value = ev._combine((top, terms), t)
+                assert time.perf_counter() - start < 0.25, (str(x), t, eta)
+                assert value._mpf_ == want, (str(x), t, eta)
+
+
+def test_a_decay_row_extends_the_row_below_it(monkeypatch):
+    # At one t the etas of n = 6 read rows up to m = 6, and those of n = 7
+    # extend them to m = 7: one exponential per m = 2..7 in all.
+    exps, mpf_exp = [], transient.mpf_exp
+    monkeypatch.setattr(transient, "mpf_exp",
+                        lambda *args: exps.append(args) or mpf_exp(*args))
+    ev = SpectralEvaluator(Fraction(7, 3))
+    x = FrequencyVector.parse("1/2,1/3")
+    top = 0
+    for n in (6, 7):
+        for eta in enumerate_partitions(n):
+            ev.sampling_probability(eta, x, 0.5)
+            top = max(top, ev._sampler_terms(eta, x)[0])
+    assert top == 7
+    assert len(exps) == top - 1
 
 
 @pytest.mark.parametrize("bits", [64, 256])

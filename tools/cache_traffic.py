@@ -9,8 +9,8 @@ interpreter through `bench/worker.prepare`, with the program imported from
 this checkout's `src`, so every cache starts empty as in a benchmark round.
 cli_mix runs each command through `cli.main` in an interpreter of its own.
 
-A cache of one evaluator (`SpectralEvaluator._sampler_terms`, `_decay` and
-`_rate`) is summed over every evaluator built, also the ones `get_evaluator`
+A cache of one evaluator (`SpectralEvaluator._sampler_terms`, `_decay_row`
+and `_rate`) is summed over every evaluator built, also the ones `get_evaluator`
 evicted: the child wraps the constructor to keep each one.  Prints one line
 per cache, named as in `tests/test_caches.CACHES`, with its hits and misses
 summed over the rounds, then the error of each failed request and the number
