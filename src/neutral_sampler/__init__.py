@@ -20,7 +20,6 @@ _MODULE_OF = {
     "esf_monomial_moment": "moments",
     "mixed_power_sum_moment": "moments",
     "power_sum_moment": "moments",
-    "rising_factorial": "moments",
     "BasisElement": "basis",
     "build_basis": "basis",
     "inner_product": "basis",
@@ -32,7 +31,6 @@ _MODULE_OF = {
     "STATIONARY": "transient",
     "SpectralEvaluator": "transient",
     "TimePoint": "transient",
-    "eigenvalue": "transient",
     "transient_sampling_probability": "transient",
     "RateFunctionResult": "rates",
     "rate_function": "rates",

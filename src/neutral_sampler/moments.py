@@ -41,8 +41,8 @@ from .sampling import FrequencyVector
 #: evicts children the recursion still needs and recomputes them.
 LABEL_CACHE_SIZE = 1024
 
-#: Entries in the cache of (L_n, H_n, ...), one per (theta, n), in total over
-#: every theta, and per float evaluator in the cache of lambda_m, one per m.
+#: Entries in total in the cache of (L_n, H_n, ...), one per (theta, n), and
+#: in the cache of lambda_m, one per (float evaluator, m).
 LEVEL_CACHE_SIZE = 64
 
 
@@ -56,15 +56,6 @@ def check_theta(theta: Fraction) -> Fraction:
 def _rising_numerator(p: int, q: int, n: int) -> int:
     """prod_{i<n} (p + i q), so that (p/q)_(n) is this over q^n."""
     return math.prod(p + i * q for i in range(n))
-
-
-def rising_factorial(theta, n: int) -> Fraction:
-    """theta_(n) = theta (theta+1) ... (theta+n-1); 1 for n = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0, got %r" % (n,))
-    theta = Fraction(theta)
-    p, q = theta.numerator, theta.denominator
-    return Fraction(_rising_numerator(p, q, n), q**n)
 
 
 def ewens_prefactor(eta: IntegerPartition) -> int:

@@ -8,10 +8,13 @@ precision context: it rounds the sampler coefficients of one (eta, x) once,
 each lambda_m once and each e^{-lambda_m t} once per (m, t), kept in one row
 per (t, top m) that extends the row of top m - 1, and log theta once, for the
 scans of `asymptotics`; a moment rounds its coefficients on each call, since
-no traffic repeats an (omega, x).  A value is one integer pass: the exact
-products C_m e^{-lambda_m t} are summed as mpf_sum sums (a term over 2 * bits
-binary places from the running sum is dropped or replaces it) and rounded once
-to nearest (the rule of mpmath.fdot), so with lambda_m and t exact at `bits`,
+no traffic repeats an (omega, x).  These caches are declared on the class and
+keyed by (evaluator, ...), so each bound is in total over every evaluator and
+an evicted evaluator is freed with its last entry.  A value is one integer
+pass: the exact products C_m e^{-lambda_m t} are summed as mpf_sum sums (a
+term over 2 * bits binary places from the running sum is dropped or replaces
+it) and rounded once to nearest (the rule of mpmath.fdot), so with lambda_m
+and t exact at `bits`,
 |v - v_exact| <= ulp(v)/2 + 2^-bits sum_m |C_m| e^{-lambda_m t} (3 + lambda_m t).
 t = inf is a sentinel that drops all exponential terms and returns the exact
 stationary value.
@@ -40,13 +43,20 @@ from .moments import (
 from .records import FrozenRecord
 from .sampling import FrequencyVector, sampler_expansion
 
-#: Entries per evaluator in the cache of mpf sampler eigen-coefficients, one
-#: per (eta, x): room for every eta of n <= 9 (96 of them) on two vectors.
+#: Entries in total in the cache of mpf sampler eigen-coefficients, one per
+#: (evaluator, eta, x): room for every eta of n <= 9 (96 of them) on two vectors.
 EIGENCOEFF_CACHE_SIZE = 256
 
-#: Entries per evaluator in the cache of rows of e^{-lambda_m t}, one per
-#: (t, top m): room for the rows up to top m = 9 at 56 distinct times.
+#: Entries in total in the cache of rows of e^{-lambda_m t}, one per
+#: (evaluator, t, top m): room for the rows up to top m = 9 at 56 distinct times.
 DECAY_CACHE_SIZE = 512
+
+#: Stands in for the (mantissa, exponent) of e^{-lambda_m t} < 2^-(2^64) when
+#: lambda_m t >= 2^64.  As lambda_m / lambda_2 <= m (m - 1) / 2, each term
+#: m >= 2 of such a row (top m <= 2^10) lies over 2^44 binary places below
+#: C_0 > 0, the first term, unless some |C_m / C_0| has 2^43 bits: the combine
+#: drops them all, as it does the true decays, and the sum stays C_0.
+_FAR_DECAY = (1, -(1 << 64))
 
 #: Evaluators kept by get_evaluator, one per (theta, precision_bits).
 EVALUATOR_CACHE_SIZE = 32
@@ -63,14 +73,6 @@ def check_time(t):
     if not t >= 0:  # also catches NaN
         raise ValueError("t must be >= 0 or inf, got %r" % (t,))
     return t
-
-
-def eigenvalue(m: int, theta) -> Fraction:
-    """lambda_m = m (m - 1 + theta) / 2 for m >= 2."""
-    if m < 2:
-        raise ValueError("the spectral expansion starts at m = 2, got %r" % (m,))
-    theta = check_theta(theta)
-    return Fraction(m) * (m - 1 + theta) / 2
 
 
 class TimePoint(FrozenRecord):
@@ -102,12 +104,6 @@ class SpectralEvaluator:
     def __init__(self, theta, precision_bits: int = DEFAULT_PRECISION_BITS):
         self.theta = check_theta(theta)
         self.precision_bits = check_precision(precision_bits)
-        # Bounded, since get_evaluator keeps up to EVALUATOR_CACHE_SIZE
-        # evaluators alive.
-        self._sampler_terms = lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)(
-            self._sampler_terms)
-        self._decay_row = lru_cache(maxsize=DECAY_CACHE_SIZE)(self._decay_row)
-        self._rate = lru_cache(maxsize=LEVEL_CACHE_SIZE)(self._rate)
         self._log = None
 
     # -- exact layer ---------------------------------------------------
@@ -135,15 +131,18 @@ class SpectralEvaluator:
         return max(eigen, default=0), tuple(
             (m, -man if sign else man, exp) for m, (sign, man, exp, _) in raw)
 
+    @lru_cache(maxsize=EIGENCOEFF_CACHE_SIZE)
     def _sampler_terms(self, eta: IntegerPartition, x: FrequencyVector):
         return self._mpf_terms(self._sampler_eigencoeffs(eta, x))
 
+    @lru_cache(maxsize=LEVEL_CACHE_SIZE)
     def _rate(self, m: int) -> tuple:
         """lambda_m = m (q (m - 1) + p) / (2 q) for theta = p/q, rounded once."""
         p, q = self.theta.numerator, self.theta.denominator
         return mpf_div(from_int(m * (q * (m - 1) + p)), from_int(2 * q),
                        self.precision_bits, round_nearest)
 
+    @lru_cache(maxsize=DECAY_CACHE_SIZE)
     def _decay_row(self, t, top: int) -> tuple[tuple[int, int], ...]:
         """(mantissa, exponent) of e^{-lambda_m t} for m <= top, (1, 0) below 2,
         extending the row of top - 1.  Equal times of different types (0.5,
@@ -152,7 +151,12 @@ class SpectralEvaluator:
             return ((1, 0),) * (top + 1)
         prec = self.precision_bits
         arg = mpf_mul(mpf_neg(self._rate(top)), _raw_mpf(t, prec), prec, round_nearest)
-        return self._decay_row(t, top - 1) + (mpf_exp(arg, prec, round_nearest)[1:3],)
+        # |arg| >= 2^64: mpf_exp would take ln 2 to as many bits as |arg| has.
+        if arg[2] + arg[3] > 64:
+            decay = _FAR_DECAY
+        else:
+            decay = mpf_exp(arg, prec, round_nearest)[1:3]
+        return self._decay_row(t, top - 1) + (decay,)
 
     def _combine(self, top_terms, t) -> mpmath.mpf:
         """sum_m C_m e^{-lambda_m t}: the exact products summed as mpf_sum sums

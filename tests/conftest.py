@@ -17,16 +17,17 @@ slopes and errors run on mpf objects inside mpmath.workprec instead of on raw
 mpf tuples with one log theta per evaluator, the multinomial constant divides
 by the factorials of the multiplicity vector alpha instead of multiplying the
 run counts of equal parts, the Ewens moment of a monomial sampler divides
-Fraction powers of theta by the rising factorial instead of forming one
-quotient of integers, and expected rationals are recomputed from first
-principles where frozen.
+Fraction powers of theta by the rising factorial, a product of Fractions,
+instead of forming one quotient of integers, lambda_m is a Fraction instead of
+one rounded quotient of theta's integers, and expected rationals are
+recomputed from first principles where frozen.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import mpmath
 import pytest
@@ -35,15 +36,26 @@ from hypothesis import strategies as st
 from neutral_sampler.asymptotics import RegimeKind, RegimeSpec
 from neutral_sampler.basis import build_basis, inner_product
 from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
-from neutral_sampler.moments import (
-    generator_children,
-    label_numerators,
-    level,
-    rising_factorial,
-)
+from neutral_sampler.moments import generator_children, label_numerators, level
 from neutral_sampler.rates import K_SUBLOG, rate_function
 from neutral_sampler.sampling import FrequencyVector, _power_sum_table, power_sum_product
 from neutral_sampler.transient import get_evaluator
+
+
+def rising_factorial(theta, n: int) -> Fraction:
+    """theta_(n) = theta (theta+1) ... (theta+n-1) as a product of Fractions;
+    1 for n = 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0, got %r" % (n,))
+    theta = Fraction(theta)
+    return prod((theta + i for i in range(n)), start=Fraction(1))
+
+
+def eigenvalue(m: int, theta) -> Fraction:
+    """lambda_m = m (m - 1 + theta) / 2 for m >= 2."""
+    if m < 2:
+        raise ValueError("the spectral expansion starts at m = 2, got %r" % (m,))
+    return Fraction(m) * (m - 1 + Fraction(theta)) / 2
 
 
 @lru_cache(maxsize=None)

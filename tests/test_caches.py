@@ -1,9 +1,11 @@
+import gc
 import importlib
 import os
 import pkgutil
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import neutral_sampler
@@ -22,7 +24,9 @@ from neutral_sampler.sampling import (
 from neutral_sampler.transient import (
     DECAY_CACHE_SIZE,
     EIGENCOEFF_CACHE_SIZE,
+    EVALUATOR_CACHE_SIZE,
     SpectralEvaluator,
+    get_evaluator,
 )
 
 
@@ -33,7 +37,7 @@ def _bounds(namespace, prefix, module_name=None):
             and (module_name is None or value.__module__ == module_name)]
 
 
-#: Every lru_cache of the package and of its evaluators.
+#: Every lru_cache defined on a module or a class of the package.
 CACHES = {
     "basis.build_basis",
     "combinatorics.coarsening_weights",
@@ -58,8 +62,7 @@ def test_every_cache_is_bounded():
     for info in pkgutil.iter_modules(neutral_sampler.__path__):
         module = importlib.import_module("neutral_sampler." + info.name)
         caches += _bounds(module, info.name, module.__name__)
-    ev = SpectralEvaluator(1)
-    caches += _bounds(ev, "transient.SpectralEvaluator")
+    caches += _bounds(SpectralEvaluator, "transient.SpectralEvaluator")
     assert sorted(name for name, _ in caches) == sorted(CACHES)
     assert [c for c in caches if c[1] is None] == []
 
@@ -78,6 +81,52 @@ def test_eigencoeff_cache_holds_at_most_its_bound():
         ev.moment(omega, x, 1.0)
     assert label_numerators.cache_info().currsize == LABEL_CACHE_SIZE
     assert ev._sampler_terms.cache_info().currsize == EIGENCOEFF_CACHE_SIZE
+
+
+def test_evaluator_caches_hold_at_most_their_bounds_in_total():
+    # 40 evaluators, more than get_evaluator keeps, each add 11 sampler terms
+    # and 18 decay rows (top m = 1..6 at 3 times): 440 and 720 entries in
+    # all, past both bounds.
+    SpectralEvaluator._sampler_terms.cache_clear()
+    SpectralEvaluator._decay_row.cache_clear()
+    x = FrequencyVector.parse("1/2,1/3,1/6")
+    for k in range(40):
+        ev = SpectralEvaluator(Fraction(k + 1, 7))
+        for eta in enumerate_partitions(6):
+            for t in (0.25, 0.5, 1):
+                ev.sampling_probability(eta, x, t)
+    for cached, bound in ((SpectralEvaluator._sampler_terms, EIGENCOEFF_CACHE_SIZE),
+                          (SpectralEvaluator._decay_row, DECAY_CACHE_SIZE)):
+        info = cached.cache_info()
+        assert info.misses > bound
+        assert info.currsize == bound
+
+
+def test_an_evaluator_is_freed_without_the_cyclic_collector():
+    # No evaluator refers to itself, so reference counting frees one that is
+    # dropped or that get_evaluator evicts; one that has computed a value is
+    # freed with the last cache entry keyed by it.
+    class_caches = (SpectralEvaluator._sampler_terms, SpectralEvaluator._decay_row,
+                    SpectralEvaluator._rate)
+    gc.disable()
+    try:
+        dropped = weakref.ref(SpectralEvaluator(Fraction(5, 3)))
+        evicted = weakref.ref(get_evaluator(Fraction(123457, 1000)))
+        for k in range(EVALUATOR_CACHE_SIZE + 1):
+            get_evaluator(Fraction(k + 1, 1000003))
+        assert dropped() is None
+        assert evicted() is None
+        ev = SpectralEvaluator(Fraction(5, 3))
+        ev.sampling_probability(IntegerPartition.of(2, 1), FrequencyVector.parse("1/2"),
+                                0.5)
+        used = weakref.ref(ev)
+        del ev
+        assert used() is not None
+        for cached in class_caches:
+            cached.cache_clear()
+        assert used() is None
+    finally:
+        gc.enable()
 
 
 def test_label_cache_holds_every_label_up_to_size_17_on_one_vector():

@@ -171,6 +171,18 @@ class TestTransient:
         assert rc == 0
         assert json.loads(out)["precision_bits"] == 300
 
+    @pytest.mark.parametrize("t", ["1e300000", "1e1000000", "1e100000000"])
+    def test_huge_finite_t_exits_0_within_5_seconds(self, t):
+        # Every decay lies below 2^-(2^64) here: the value is that of
+        # t = 1e1000, computed without taking e^{-lambda_m t}.
+        args = ("transient", "--eta", "2,1", "--x", "1/2,1/3", "--theta", "3/2", "--t")
+        start = time.monotonic()
+        proc = run_cli_process(*args, t)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 0, proc.stderr
+        want = json.loads(run_cli_process(*args, "1e1000").stdout)["value"]
+        assert json.loads(proc.stdout)["value"] == want
+
 
 BAD_INPUTS = {
     "negative_t": ["transient", "--eta", "2", "--x", "1", "--theta", "1", "--t", "-1"],

@@ -31,7 +31,6 @@ EXPORTS = {
     "esf_monomial_moment": "moments",
     "mixed_power_sum_moment": "moments",
     "power_sum_moment": "moments",
-    "rising_factorial": "moments",
     "BasisElement": "basis",
     "build_basis": "basis",
     "inner_product": "basis",
@@ -43,7 +42,6 @@ EXPORTS = {
     "STATIONARY": "transient",
     "SpectralEvaluator": "transient",
     "TimePoint": "transient",
-    "eigenvalue": "transient",
     "transient_sampling_probability": "transient",
     "RateFunctionResult": "rates",
     "rate_function": "rates",

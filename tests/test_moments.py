@@ -19,11 +19,16 @@ from neutral_sampler.moments import (
     esf_monomial_moment,
     mixed_power_sum_moment,
     power_sum_moment,
-    rising_factorial,
 )
 from neutral_sampler.sampling import FrequencyVector
 from neutral_sampler.transient import get_evaluator
-from conftest import bell_power_sum_moment, coarsenings, ratio_esf_monomial_moment, thetas
+from conftest import (
+    bell_power_sum_moment,
+    coarsenings,
+    ratio_esf_monomial_moment,
+    rising_factorial,
+    thetas,
+)
 
 THETA_GRID = [Fraction(1, 2), 1, 2, 4, 8, 16, 32]
 

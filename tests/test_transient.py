@@ -35,13 +35,13 @@ from neutral_sampler.transient import (
     SpectralEvaluator,
     TimePoint,
     check_time,
-    eigenvalue,
     get_evaluator,
     transient_sampling_probability,
 )
 from conftest import (
     coprime_vectors,
     direct_combine,
+    eigenvalue,
     fraction_label_coefficients,
     label_coefficients,
     projection_eigen_coefficients,
@@ -440,6 +440,30 @@ def test_finite_t_values_are_correctly_rounded(theta, bits):
 KERNEL_TIMES = (1e12, 1e6, 30, 0.7, 1e-3, 0)
 
 
+#: Times at which lambda_m t >= 2^64 for every m >= 2 (lambda_2 >= 5/4 below).
+HUGE_TIMES = [Fraction(10) ** k for k in (20, 30, 1000, 10000)]
+
+
+@pytest.mark.parametrize("theta", [Fraction(3, 2), Fraction(10**8)], ids=str)
+def test_huge_finite_t_drops_every_decayed_term(theta):
+    # With e^{-lambda_m t} taken in full, by the oracle, every decayed term
+    # lies far below C_0: the value is C_0 rounded once, as without it.
+    x = FrequencyVector.parse("1/2,1/3")
+    ev = SpectralEvaluator(theta)
+    bits = ev.precision_bits
+    cases = [(ev.sampling_probability, eta, ev._sampler_eigencoeffs(eta, x))
+             for eta in (IntegerPartition.of(2, 1), IntegerPartition.of(3, 2, 1))]
+    cases += [(ev.moment, omega, ev._moment_eigencoeffs(omega, x))
+              for omega in (IntegerPartition.of(2), IntegerPartition.of(3, 2))]
+    for t in HUGE_TIMES:
+        for value_at, label, eigen in cases:
+            value = value_at(label, x, t)
+            assert value == direct_combine(eigen, theta, t, bits), (t, label)
+            c0 = eigen[0]
+            assert value._mpf_ == from_rational(c0.numerator, c0.denominator, bits,
+                                                round_nearest), (t, label)
+
+
 @pytest.mark.parametrize("bits", [64, 256, 512])
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(10**8)], ids=str)
 def test_combine_equals_mpf_sum_of_mpf_products(theta, bits):
@@ -505,7 +529,8 @@ def test_finite_t_error_bound(theta, bits):
 
 def test_vector_keyed_hit_hashes_no_fraction(monkeypatch):
     # A second spelling of the vector hits the sampler cache through the
-    # vector's integer form alone.
+    # vector's integer form alone.  Every evaluator shares the cache's counters.
+    SpectralEvaluator._sampler_terms.cache_clear()
     ev = SpectralEvaluator(Fraction(3, 2))
     eta = IntegerPartition.of(3, 2, 1)
     want = ev.sampling_probability(eta, FrequencyVector.parse("1/2,1/3"), 0.5)

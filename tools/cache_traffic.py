@@ -9,12 +9,12 @@ interpreter through `bench/worker.prepare`, with the program imported from
 this checkout's `src`, so every cache starts empty as in a benchmark round.
 cli_mix runs each command through `cli.main` in an interpreter of its own.
 
-A cache of one evaluator (`SpectralEvaluator._sampler_terms`, `_decay_row`
-and `_rate`) is summed over every evaluator built, also the ones `get_evaluator`
-evicted: the child wraps the constructor to keep each one.  Prints one line
-per cache, named as in `tests/test_caches.CACHES`, with its hits and misses
-summed over the rounds, then the error of each failed request and the number
-of requests and of failed ones.  Nothing is written.
+Every lru_cache defined on a module or on a class of the package is counted;
+one on a class (`SpectralEvaluator._sampler_terms`, `_decay_row` and `_rate`)
+is shared by every instance.  Prints one line per cache, named as in
+`tests/test_caches.CACHES`, with its hits and misses summed over the rounds,
+then the error of each failed request and the number of requests and of
+failed ones.  Nothing is written.
 """
 
 from __future__ import annotations
@@ -33,35 +33,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = "--child"
 
 
-def keep_instances(cls, prefix: str, instances: list):
-    """Make every instance of `cls` append (prefix, instance) to `instances`."""
-    init = cls.__init__
-
-    def __init__(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        instances.append((prefix, self))
-    cls.__init__ = __init__
-
-
 def add(totals: dict, name: str, hits: int, misses: int):
     total = totals.setdefault(name, [0, 0])
     total[0] += hits
     total[1] += misses
 
 
-def caches(instances: list):
-    """(name, lru_cache) of every module-level cache of the package and of
-    every cache the kept instances hold."""
+def caches():
+    """(name, lru_cache) of every cache defined on a module or on a class of
+    the package."""
     import neutral_sampler
     for info in pkgutil.iter_modules(neutral_sampler.__path__):
         module = importlib.import_module("neutral_sampler." + info.name)
         for attr, value in vars(module).items():
-            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
-                yield "%s.%s" % (info.name, attr), value
-    for prefix, instance in instances:
-        for attr, value in vars(instance).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
             if hasattr(value, "cache_info"):
-                yield "%s.%s" % (prefix, attr), value
+                yield "%s.%s" % (info.name, attr), value
+            elif isinstance(value, type):
+                for name, method in vars(value).items():
+                    if hasattr(method, "cache_info"):
+                        yield "%s.%s.%s" % (info.name, attr, name), method
 
 
 def child() -> int:
@@ -71,11 +63,8 @@ def child() -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import neutral_sampler as ns
     from neutral_sampler import cli
-    from neutral_sampler.transient import SpectralEvaluator
     import worker
 
-    instances: list = []
-    keep_instances(SpectralEvaluator, "transient.SpectralEvaluator", instances)
     errors = []
     for req in requests:
         try:
@@ -93,15 +82,8 @@ def child() -> int:
                 worker.prepare(req, ns)[0]()
         except Exception as exc:  # counted and reported, as in the benchmark
             errors.append("%s: %s" % (type(exc).__name__, exc))
-    counts: dict = {}
-    for name, cached in caches(instances):
-        add(counts, name, cached.cache_info().hits, cached.cache_info().misses)
-    # One idle evaluator, built after the counts are read, so that a
-    # workload building none still lists its caches at 0.
-    built = len(instances)
-    SpectralEvaluator(1)
-    for name, _ in caches(instances[built:]):
-        counts.setdefault(name, [0, 0])
+    counts = {name: [cached.cache_info().hits, cached.cache_info().misses]
+              for name, cached in caches()}
     json.dump({"caches": counts, "errors": errors}, sys.stdout)
     return 0
 
