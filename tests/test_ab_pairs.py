@@ -59,3 +59,22 @@ def test_summary_gives_the_median_per_pair_ratio_beside_the_change_of_medians():
     assert rss["relative"] == rss["pair_relative"] == 0
     zero = ab_pairs.summarize(_pairs([0, 0], [1, 2], [0, 0], [0, 0]), METRICS)
     assert zero[0]["pair_relative"] is None
+
+
+def test_summary_marks_a_wide_overlapping_spread_unresolved():
+    # Throughput's base IQR, 40 - 20, is more than 0.25 times its median, 30,
+    # and the runs overlap; peak RSS has no spread at all.
+    pairs = _pairs([10, 20, 30, 40, 50], [12, 22, 28, 45, 55], [5.0] * 5, [5.0] * 5)
+    rps, rss = ab_pairs.summarize(pairs, METRICS)
+    assert rps["unresolved"] and not rps["worse_than_bound"]
+    assert not rss["unresolved"]
+
+
+def test_summary_resolves_a_wide_spread_when_every_change_run_wins():
+    # Both base IQRs are wider than their bounds, but every change run beats
+    # every base run, in each direction.
+    pairs = _pairs([10, 20, 30, 40, 50], [60, 70, 80, 90, 100],
+                   [5.0, 6.0, 7.0, 8.0, 9.0], [1.0, 2.0, 3.0, 4.0, 4.5])
+    rps, rss = ab_pairs.summarize(pairs, METRICS)
+    assert not rps["unresolved"] and not rss["unresolved"]
+    assert rps["wins"] == rss["wins"] == 5

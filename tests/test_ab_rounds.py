@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 
@@ -12,6 +13,20 @@ ab_rounds = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab_rounds)
 
 
+def _run(base: str, change: str, workload: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, _PATH, base, change, "--workload", workload,
+         "--rounds", "1", "--seed", "1"],
+        capture_output=True, text=True, timeout=300)
+
+
+def _totals(proc: subprocess.CompletedProcess) -> tuple[int, int]:
+    """(float outputs that differ, exact outputs that differ) of the summary."""
+    line = next(line for line in proc.stdout.splitlines() if line.startswith("float "))
+    words = line.split()
+    return (int(words[words.index("float") + 2]), int(words[words.index("exact") + 2]))
+
+
 def test_summary_gives_the_median_round_ratio_and_wins():
     rounds = [({"wall_s": 2.0, "latency_p50_s": 1.0}, {"wall_s": 1.0, "latency_p50_s": 1.0}),
               ({"wall_s": 2.0, "latency_p50_s": 1.0}, {"wall_s": 3.0, "latency_p50_s": 0.5}),
@@ -22,15 +37,13 @@ def test_summary_gives_the_median_round_ratio_and_wins():
 
 
 def test_a_checkout_against_itself_agrees_on_one_round():
-    proc = subprocess.run(
-        [sys.executable, _PATH, _ROOT, _ROOT, "--workload", "transient_grid",
-         "--rounds", "1", "--seed", "1"],
-        capture_output=True, text=True, timeout=120)
+    proc = _run(_ROOT, _ROOT, "transient_grid")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("round 0 (base first): wall_s ")
     assert lines[1] == "transient_grid, 1 rounds at seed 1: median per-round change/base"
-    assert [line.split()[0] for line in lines[2:]] == ["wall_s", "latency_p50_s"]
+    assert [line.split()[0] for line in lines[2:4]] == ["wall_s", "latency_p50_s"]
+    assert lines[4].startswith("float outputs ")
 
 
 def test_relative_checkout_paths_resolve_once():
@@ -44,3 +57,29 @@ def test_relative_checkout_paths_resolve_once():
         cwd=parent, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[1].startswith("t0_distribution, 1 rounds")
+
+
+def test_a_checkout_against_itself_reads_zero():
+    for workload in ("transient_grid", "ldp_theta_scan"):
+        proc = _run(_ROOT, _ROOT, workload)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[0].startswith("round 0 ")
+        assert _totals(proc) == (0, 0), proc.stdout
+
+
+def test_a_combine_rounded_one_bit_short_reads_nonzero(tmp_path):
+    # A copy whose combine rounds to precision_bits - 1 bits changes float
+    # outputs, and no exact one.
+    mutant = tmp_path / "mutant"
+    for part in ("src", "bench"):
+        shutil.copytree(os.path.join(_ROOT, part), mutant / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
+    source = mutant / "src" / "neutral_sampler" / "transient.py"
+    text = source.read_text()
+    exact = "from_man_exp(man, exp, self.precision_bits, round_nearest)"
+    assert text.count(exact) == 1
+    source.write_text(text.replace(exact, exact.replace("precision_bits", "precision_bits - 1")))
+    proc = _run(_ROOT, str(mutant), "transient_grid")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    floats, exacts = _totals(proc)
+    assert floats > 0 and exacts == 0, proc.stdout

@@ -192,18 +192,36 @@ def test_decay_cache_holds_at_most_its_bound():
     assert ev._decay_row.cache_info().currsize == DECAY_CACHE_SIZE
 
 
-def test_cache_traffic_lists_every_cache():
-    # One transient_grid round of the traffic tool names every cache above;
-    # the decay-row cache, which this workload's t grid revisits, hits.
-    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                        "cache_traffic.py")
+def _traffic(workload: str) -> dict:
+    """{name: (hits, misses)} of one seed-1 round of `workload`, read from
+    the A/B tool run on this checkout against itself; both sides agree."""
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "ab_rounds.py")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
     proc = subprocess.run(
-        [sys.executable, tool, "transient_grid", "--seed", "1", "--rounds", "1"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+        [sys.executable, tool, root, root, "--workload", workload, "--rounds", "1",
+         "--seed", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1].endswith(", failed 0")
-    rows = {name: (int(hits), int(misses))
-            for name, hits, misses in (line.split() for line in lines[1:-1])}
+    rows = lines[lines.index("cache hits and misses: base -> change") + 1:]
+    counts = {}
+    for name, base_hits, base_misses, arrow, hits, misses in (row.split() for row in rows):
+        assert (arrow, base_hits, base_misses) == ("->", hits, misses), name
+        counts[name] = (int(hits), int(misses))
+    return counts
+
+
+def test_cache_traffic_lists_every_cache():
+    # One transient_grid round names every cache above; the decay-row cache,
+    # which this workload's t grid revisits, hits.
+    rows = _traffic("transient_grid")
     assert rows.keys() == CACHES
     assert rows["transient.SpectralEvaluator._decay_row"][0] > 0
+
+
+def test_cli_mix_traffic_hits_the_moment_cache():
+    # cli_mix is the only workload that reaches power_sum_moment, each
+    # command in an interpreter of its own.
+    rows = _traffic("cli_mix")
+    assert rows.keys() == CACHES
+    assert rows["moments.power_sum_moment"][0] > 0

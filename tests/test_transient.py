@@ -527,6 +527,20 @@ def test_finite_t_error_bound(theta, bits):
                     assert error <= mpmath.ldexp(budget, -bits) + half_ulp, (str(x), t, eta)
 
 
+@pytest.mark.parametrize("t", [Fraction(1, 10**20), Fraction(1, 10**15)], ids=str)
+@pytest.mark.xfail(
+    strict=True,
+    reason="at small t the terms C_m e^{-lambda_m t} cancel by more digits than "
+    "256 bits carry: 1e-20 gives -6.978e-83 against 9.1145833e-103, 1e-15 "
+    "gives 9.11451e-78 against 9.11458e-78",
+)
+def test_small_t_value_agrees_with_4096_bits(t):
+    eta, x = IntegerPartition.of(*[1] * 8), FrequencyVector.parse("1/2,1/3,1/6")
+    value = get_evaluator(Fraction(1, 2)).sampling_probability(eta, x, t)
+    exact = get_evaluator(Fraction(1, 2), 4096).sampling_probability(eta, x, t)
+    assert abs(value - exact) <= abs(exact) * mpmath.mpf(10) ** -10, (value, exact)
+
+
 def test_vector_keyed_hit_hashes_no_fraction(monkeypatch):
     # A second spelling of the vector hits the sampler cache through the
     # vector's integer form alone.  Every evaluator shares the cache's counters.

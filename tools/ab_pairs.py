@@ -11,11 +11,13 @@ Prints every pair as it finishes, then for each end-to-end metric of BASE's
 `BENCHMARK.json`: each side's median and quartiles, the change of the
 medians beside the median of the per-pair change/base ratios, the pairs
 CHANGE won (ties count for neither side), whether the median gain exceeds
-BASE's interquartile range, and whether CHANGE's median is worse than
-BASE's by more than the metric's bound.  Both sides of a pair run back to
-back, so host drift between batches of pairs cancels in the per-pair ratio
-but not in the change of the medians.  The runs write nothing into either
-checkout but its `.bench_out/`.
+BASE's interquartile range, whether CHANGE's median is worse than BASE's by
+more than the metric's bound, and UNRESOLVED where BASE's interquartile
+range exceeds that bound times |BASE's median| while some CHANGE run fails
+to beat some BASE run.  Both sides of a pair run back to back, so host
+drift between batches of pairs cancels in the per-pair ratio but not in the
+change of the medians.  The runs write nothing into either checkout but its
+`.bench_out/`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ def summarize(pairs: list, metrics: list) -> list:
         cq1, cmed, cq3 = quartiles(change)
         gain = cmed - bmed if higher else bmed - cmed
         ratios = [c / b - 1 for b, c in zip(base, change) if b]
+        apart = min(change) > max(base) if higher else max(change) < min(base)
         out.append({
             "name": name,
             "base": (bq1, bmed, bq3),
@@ -62,6 +65,7 @@ def summarize(pairs: list, metrics: list) -> list:
             "pairs": len(pairs),
             "clears_base_iqr": gain > bq3 - bq1,
             "worse_than_bound": bmed != 0 and -gain / abs(bmed) > metric["bound"],
+            "unresolved": bq3 - bq1 > metric["bound"] * abs(bmed) and not apart,
         })
     return out
 
@@ -123,12 +127,13 @@ def main(argv=None) -> int:
         rel = "" if row["relative"] is None else " (%+.1f %%)" % (100 * row["relative"])
         if row["pair_relative"] is not None:
             rel += ", per pair %+.1f %%" % (100 * row["pair_relative"])
-        print("%-16s %s [%s, %s] -> %s [%s, %s]%s; change won %d of %d (%d ties)%s%s" % (
+        print("%-16s %s [%s, %s] -> %s [%s, %s]%s; change won %d of %d (%d ties)%s%s%s" % (
             row["name"], fmt(row["base"][1]), fmt(row["base"][0]), fmt(row["base"][2]),
             fmt(row["change"][1]), fmt(row["change"][0]), fmt(row["change"][2]), rel,
             row["wins"], row["pairs"], row["ties"],
             "; median gain exceeds the base IQR" if row["clears_base_iqr"] else "",
-            "; WORSE THAN BOUND" if row["worse_than_bound"] else ""))
+            "; WORSE THAN BOUND" if row["worse_than_bound"] else "",
+            "; UNRESOLVED" if row["unresolved"] else ""))
     return 0
 
 

@@ -2,56 +2,169 @@
 
     python3 tools/ab_rounds.py BASE CHANGE --workload NAME --rounds N --seed S
 
-BASE and CHANGE are the roots of two source checkouts.  Round i takes its
-requests from BASE's `bench/workloads.round_requests(NAME, S, i)`, and each
-side runs them through its own unmodified `bench/worker.py` in a fresh
-interpreter, with the program imported from that checkout's `src`, the two
-back to back; BASE runs first in even rounds and CHANGE in odd ones.  Both
-sides of a round run the same requests seconds apart, so host drift between
-rounds cancels in the per-round ratio, which `tools/ab_pairs.py` (whole
-benchmark runs at their own seeds) leaves to the pairing alone.
+Round i takes its requests from BASE's `bench/workloads.round_requests(NAME,
+S, i)`.  Each checkout runs them in a fresh interpreter on its own `src` and
+`bench/worker.prepare`, timed as `bench/worker.py` times them; the two run
+back to back, BASE first in even rounds, so host drift between rounds
+cancels in the per-round ratio.  Each cli_mix command runs through `cli.main`
+in an interpreter of its own, timed from before `import neutral_sampler.cli`
+(nothing imports `mpmath` earlier): the launch both sides share is untimed.
+An mpf in a result is a float output, compared by its raw `_mpf_` tuple; any
+other value (a command's exit code, stdout and stderr) is an exact output.
+After the last request, each lru_cache on a module or class of the package
+gives its hits and misses; `ab_rounds.py . .` reads one checkout's traffic.
 
-Prints every round as it finishes, then for the round's wall time and for
-its median request latency the median of the per-round change/base ratios
-and the rounds CHANGE won (ties count for neither side).  Exits 1 if a
-request fails on either side, or if an output of CHANGE disagrees with
-BASE's under BASE's `bench/checks.same` (CLI commands compared by the
-payload the digests keep).
+Prints each round, the median per-round change/base ratios with the rounds
+CHANGE won (ties count for neither side), the outputs that differ and each
+side's cache hits and misses summed over the rounds.  Exits 1 if a request
+fails (a command exiting nonzero fails) or an output of CHANGE disagrees
+with BASE's under BASE's `bench/checks.same`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import importlib
+import io
+import itertools
 import json
 import os
+import pkgutil
 import statistics
 import subprocess
 import sys
+import time
 
-#: (name, value of one worker report) of each compared metric.
-METRICS = (("wall_s", lambda rep: rep["wall_s"]),
-           ("latency_p50_s", lambda rep: statistics.median(rep["latency_s"])))
+CHILD = "--child"
+SIDES = ("base", "change")
+METRICS = ("wall_s", "latency_p50_s")
+DIFFER = "float outputs %d differ of %d; exact outputs %d differ of %d"
+
+
+def values(result):
+    """Yield ("float", [sign, man, exp, bc]) for each mpf in `result` and
+    ("exact", [type name, repr]) for every other value."""
+    if hasattr(result, "_mpf_"):
+        yield "float", list(result._mpf_)
+    elif hasattr(result, "_fields"):  # a FrozenRecord row
+        yield from values([getattr(result, name) for name in result._fields])
+    elif isinstance(result, (list, tuple)):
+        for item in result:
+            yield from values(item)
+    elif isinstance(result, dict):
+        yield from values([result[key] for key in sorted(result)])
+    else:
+        yield "exact", [type(result).__name__, repr(result)]
+
+
+def run_cli(argv: list) -> dict:
+    """Import the CLI and run one command in this interpreter; its exit code
+    and output as `bench/worker.py` reports a command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            from neutral_sampler import cli
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse and parser.exit() leave this way
+            rc = exc.code if isinstance(exc.code, int) else 1
+    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()[-2000:]}
+
+
+def cache_counts() -> dict:
+    """{name: [hits, misses]} of every lru_cache defined on a module or on a
+    class of the package, named as in `tests/test_caches.CACHES`."""
+    import neutral_sampler
+    counts = {}
+    for info in pkgutil.iter_modules(neutral_sampler.__path__):
+        module = importlib.import_module("neutral_sampler." + info.name)
+        for attr, value in vars(module).items():
+            if getattr(value, "__module__", None) == module.__name__:
+                owned = vars(value) if isinstance(value, type) else {None: value}
+                for name, cached in owned.items():
+                    if hasattr(cached, "cache_info"):
+                        counts[".".join(filter(None, (info.name, attr, name)))] = list(
+                            cached.cache_info()[:2])
+    return counts
+
+
+def child(checkout: str) -> int:
+    """Run the JSON list of requests on stdin; print as JSON each one's latency,
+    output, values and error, the loop's wall time and the cache counts."""
+    requests = json.load(sys.stdin)
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
+    if requests[0]["op"] == "cli":
+        calls = [(functools.partial(run_cli, req["argv"]), None) for req in requests]
+    else:
+        import neutral_sampler as ns
+        import worker
+        calls = [worker.prepare(req, ns) for req in requests]
+
+    results, latency, errors = [], [], []
+    begin = time.perf_counter()
+    for call, _ in calls:
+        t0 = time.perf_counter()
+        try:
+            result, error = call(), None
+        except Exception as exc:  # a failed request is counted, not fatal
+            result, error = None, "%s: %s" % (type(exc).__name__, exc)
+        latency.append(time.perf_counter() - t0)
+        if isinstance(result, dict) and result["rc"] != 0:  # a failed command
+            error = "exit %s: %s" % (result["rc"], result["stderr"].strip())
+        results.append(result)
+        errors.append(error)
+    wall = time.perf_counter() - begin
+    json.dump({"wall_s": wall, "latency_s": latency, "errors": errors,
+               "outputs": [None if r is None else (f(r) if f else r)
+                           for r, (_, f) in zip(results, calls)],
+               "values": [[] if r is None else list(values(r)) for r in results],
+               "caches": cache_counts()}, sys.stdout)
+    return 0
+
+
+def add_counts(totals: dict, counts: dict):
+    """Add each pair of `counts` into the pair of the same key in `totals`."""
+    for name, pair in counts.items():
+        totals[name] = [a + b for a, b in zip(totals.get(name, (0, 0)), pair)]
 
 
 def run_side(checkout: str, requests: list) -> dict:
-    """The report of one round in a fresh interpreter of `checkout`."""
-    spec = json.dumps({"requests": requests, "trace": False,
-                       "out_dir": os.path.join(checkout, ".bench_out")})
-    done = subprocess.run(
-        [sys.executable, os.path.join("bench", "worker.py")], input=spec, cwd=checkout,
-        env=dict(os.environ, PYTHONPATH=os.path.join(checkout, "src")),
-        capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit("error: worker of %s exited %d: %s" % (
-            checkout, done.returncode, done.stderr[-2000:]))
-    return json.loads(done.stdout)
+    """One round of `checkout` in a fresh interpreter (one per cli_mix command)."""
+    parts = [[req] for req in requests] if requests[0]["op"] == "cli" else [requests]
+    report = dict(wall_s=0.0, latency_s=[], errors=[], outputs=[], values=[], caches={})
+    for part in parts:
+        done = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), CHILD, checkout],
+            input=json.dumps(part), cwd=checkout, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit("error: %s exited %d: %s" % (
+                checkout, done.returncode, done.stderr[-2000:]))
+        got = json.loads(done.stdout)
+        add_counts(report["caches"], got.pop("caches"))
+        for key, value in got.items():
+            report[key] += value
+    report["latency_p50_s"] = statistics.median(report["latency_s"])
+    return report
+
+
+def compare(base: list, change: list) -> dict:
+    """{kind: [differing, outputs]} over the values of each request, by
+    position; a value on one side only differs, counted by its kind."""
+    counts = {"float": [0, 0], "exact": [0, 0]}
+    for ref, got in zip(base, change):
+        for a, b in itertools.zip_longest(ref, got):
+            kind = (a or b)[0]
+            counts[kind][0] += a != b
+            counts[kind][1] += 1
+    return counts
 
 
 def summarize(rounds: list) -> list:
     """(name, median change/base ratio, rounds CHANGE won, ties) per metric
     from `rounds`, a list of (base value, change value) dicts keyed by name."""
     out = []
-    for name, _ in METRICS:
+    for name in METRICS:
         base = [b[name] for b, _ in rounds]
         change = [c[name] for _, c in rounds]
         ratios = [c / b for b, c in zip(base, change) if b]
@@ -69,7 +182,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    # run_side starts each worker inside its checkout, where a relative path
+    # run_side starts each child inside its checkout, where a relative path
     # would resolve a second time.
     args.base, args.change = os.path.abspath(args.base), os.path.abspath(args.change)
     for checkout in (args.base, args.change):
@@ -83,26 +196,28 @@ def main(argv=None) -> int:
     if args.workload not in workloads.WORKLOADS:
         parser.error("unknown workload %r" % args.workload)
 
-    rounds, problems = [], []
+    rounds, problems, bits, caches = [], [], {}, {side: {} for side in SIDES}
     for i in range(args.rounds):
         requests = workloads.round_requests(args.workload, args.seed, i)
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
         reports = {side: run_side(getattr(args, side), requests) for side in order}
-        values = tuple({name: value(reports[side]) for name, value in METRICS}
-                       for side in ("base", "change"))
-        rounds.append(values)
-        for side in ("base", "change"):
+        rounds.append(tuple({name: reports[side][name] for name in METRICS}
+                            for side in SIDES))
+        for side in SIDES:
             problems += ["round %d request %d: %s failed: %s" % (i, j, side, error)
                          for j, error in enumerate(reports[side]["errors"]) if error]
+            add_counts(caches[side], reports[side]["caches"])
         for j, (req, ref, got) in enumerate(zip(requests, reports["base"]["outputs"],
                                                 reports["change"]["outputs"])):
             if None not in (ref, got) and not checks.same(
                     checks.digest_output(req, ref), checks.digest_output(req, got)):
                 problems.append("round %d request %d: outputs disagree: %s" % (
                     i, j, json.dumps(req)))
-        print("round %d (%s first): %s" % (i, order[0], "; ".join(
-            "%s %.6g -> %.6g" % (name, values[0][name], values[1][name])
-            for name, _ in METRICS)), flush=True)
+        counts = compare(reports["base"]["values"], reports["change"]["values"])
+        add_counts(bits, counts)
+        print("round %d (%s first): %s; %s" % (i, order[0], "; ".join(
+            "%s %.6g -> %.6g" % (name, rounds[-1][0][name], rounds[-1][1][name])
+            for name in METRICS), DIFFER % (*counts["float"], *counts["exact"])), flush=True)
 
     print("%s, %d rounds at seed %d: median per-round change/base" % (
         args.workload, args.rounds, args.seed))
@@ -110,10 +225,15 @@ def main(argv=None) -> int:
         print("%-14s %s; change won %d of %d (%d ties)" % (
             name, "n/a" if ratio is None else "%.4f (%+.1f %%)" % (ratio, 100 * (ratio - 1)),
             wins, len(rounds), ties))
+    print(DIFFER % (*bits["float"], *bits["exact"]))
+    print("cache hits and misses: base -> change")
+    for name in sorted(caches["base"].keys() | caches["change"].keys()):
+        print("%-44s %s %s -> %s %s" % (name, *caches["base"].get(name, "--"),
+                                         *caches["change"].get(name, "--")))
     for problem in problems:
         print("FAILED %s" % problem)
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(child(sys.argv[2]) if sys.argv[1:2] == [CHILD] else main())
