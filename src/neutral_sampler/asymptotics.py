@@ -16,7 +16,7 @@ from math import factorial
 from typing import Optional
 
 from .combinatorics import EMPTY, IntegerPartition
-from .config import DEFAULT_PRECISION_BITS, SLOPE_SCAN_PRECISION_BITS, check_precision
+from .config import DEFAULT_PRECISION_BITS, check_precision
 from .moments import check_min_part, check_theta, ewens_prefactor, power_sum_moment
 from .rates import K_SUBLOG, rate_function
 from .records import FrozenRecord
@@ -207,7 +207,7 @@ def ldp_slope_scan(
     k,
     theta_grid,
     x: FrequencyVector,
-    precision_bits: int = SLOPE_SCAN_PRECISION_BITS,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[SlopeScanRow]:
     """s(theta) = -log P_n^theta(eta) / log theta along the grid, against
     the rate-function prediction, for theta > 1, all checked before any
@@ -220,11 +220,11 @@ def ldp_slope_scan(
     target = rate_function(n, eta, k)
     regime = RegimeSpec.sublog() if Fraction(k) == K_SUBLOG \
         else RegimeSpec.logarithmic(k)
-    thetas = [Fraction(theta) for theta in theta_grid]
-    for theta in thetas:
+    thetas = []
+    for theta in map(Fraction, theta_grid):
         if theta <= 1:  # the speed log(theta) is 0 at 1 and negative below
             raise ValueError("the slope scan needs theta > 1, got theta=%s" % theta)
-    thetas = [regime.check_theta(theta) for theta in thetas]
+        thetas.append(regime.check_theta(theta))
     prec = precision_bits
     rows = []
     for theta in thetas:

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .combinatorics import IntegerPartition
-from .config import SLOPE_SCAN_PRECISION_BITS, load_config
+from .config import load_config
 from .sampling import (
     CapExceededError,
     FrequencyVector,
@@ -366,13 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = ({"precision_bits": SLOPE_SCAN_PRECISION_BITS}
-                if args.func is cmd_ldp_scan else None)
     try:
         cfg = load_config(args.config, {
             "precision_bits": args.precision,
             "output_format": args.output_format,
-        }, defaults)
+        })
     except OSError as exc:
         print("error: cannot read --config %r: %s" % (args.config, exc.strerror),
               file=sys.stderr)

@@ -8,10 +8,9 @@ from .records import Record
 
 PRECISION_ENV_VAR = "NEUTRAL_SAMPLER_PRECISION"
 
-#: Working precision of the float layer unless a run configures another, and
-#: of the slope scans (`ldp-scan` unless a run configures another).
+#: Working precision of every float command and scan unless a run configures
+#: another.
 DEFAULT_PRECISION_BITS = 256
-SLOPE_SCAN_PRECISION_BITS = 512
 
 #: Largest size a sized command takes unless a run configures another.
 DEFAULT_MAX_N = 8
@@ -46,11 +45,10 @@ class RunConfig(Record):
 _INT_KEYS = ("precision_bits", "max_n")
 
 
-def load_config(path: str | None = None, overrides: dict | None = None,
-                defaults: dict | None = None) -> RunConfig:
-    """Build a RunConfig from defaults, env, an optional key=value file and
-    explicit overrides (in increasing priority)."""
-    values: dict = dict(defaults or {})
+def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
+    """Build a RunConfig from env, an optional key=value file and explicit
+    overrides (in increasing priority) over RunConfig's defaults."""
+    values: dict = {}
     env_prec = os.environ.get(PRECISION_ENV_VAR)
     if env_prec:
         values["precision_bits"] = int(env_prec)

@@ -50,6 +50,14 @@ def _logged_arguments(monkeypatch) -> list:
     return logs
 
 
+def _agreeing_digits(value, reference):
+    """Significant decimal digits to which value agrees with reference."""
+    with mpmath.workprec(2048):
+        if value == reference:
+            return math.inf
+        return -mpmath.log10(abs((value - reference) / reference))
+
+
 def _raw(value):
     """The _mpf_ tuple of an mpf, any other value as it is."""
     return getattr(value, "_mpf_", value)
@@ -428,6 +436,34 @@ class TestSlopeScan:
         ldp_slope_scan(5, IntegerPartition.of(2, 2, 1), Fraction(1, 2), [theta], x_full, 512)
         ldp_slope_scan(5, IntegerPartition.of(3, 1, 1), Fraction(3, 2), [theta], x_full, 512)
         assert sum(v == theta for v in logs) == 1
+
+    def test_a_weak_limit_and_a_slope_point_at_one_theta_share_one_evaluator(
+            self, x_full, monkeypatch):
+        # At the default precision both scans take get_evaluator(theta, 256),
+        # which takes log(theta) once.
+        theta, k = Fraction(10**5), Fraction(1, 2)
+        logs = _logged_arguments(monkeypatch)
+        moment_limit_scan(P2, x_full, RegimeSpec.logarithmic(k), [theta])
+        ldp_slope_scan(2, P2, k, [theta], x_full)
+        assert sum(v == theta for v in logs) == 1
+        assert get_evaluator.cache_info().misses == 1
+
+    def test_default_precision_agrees_with_2048_bits(self, x_full):
+        # The benchmark compares 30 digits; every row here carries 60.
+        grid = [Fraction(10) ** d for d in (2, 5, 8)]
+        for n in range(2, 7):
+            for eta in enumerate_partitions(n):
+                for k in (K_SUBLOG, Fraction(1, 2), Fraction(3, 2)):
+                    rows = ldp_slope_scan(n, eta, k, grid, x_full)
+                    refs = ldp_slope_scan(n, eta, k, grid, x_full, 2048)
+                    for row, ref in zip(rows, refs):
+                        assert row.underflow == ref.underflow, (eta, k, row.theta)
+                        if row.underflow:
+                            continue
+                        for field in ("probability", "slope", "abs_error"):
+                            digits = _agreeing_digits(getattr(row, field),
+                                                      getattr(ref, field))
+                            assert digits >= 60, (eta, k, row.theta, field, digits)
 
     def test_sublog_speed_used(self, x_full):
         rows = ldp_slope_scan(2, P2, K_SUBLOG, [Fraction(100)], x_full, 256)

@@ -591,19 +591,19 @@ class TestConfig:
     def test_ldp_scan_takes_the_configured_precision(self, capsys, tmp_path,
                                                       monkeypatch, where):
         # Like every float command: flag > config file > env var, and the
-        # slope scan's own 512 bits only when none of them is set.
+        # default 256 bits when none of them is set.
         scan = ["ldp-scan", "--n", "2", "--eta", "2", "--k", "1",
                 "--theta-grid", "100"]
         want = {bits: run_cli(capsys, "--precision", bits, *scan)[1]
-                for bits in ("128", "512")}
-        assert run_cli(capsys, *scan)[1] == want["512"]
+                for bits in ("128", "256")}
+        assert run_cli(capsys, *scan)[1] == want["256"]
         cfg = tmp_path / "run.cfg"
         cfg.write_text("precision_bits=128\n")
         if where == "env":
             monkeypatch.setenv("NEUTRAL_SAMPLER_PRECISION", "128")
         argv = ["--config", str(cfg)] if where == "file" else []
         rc, out, _ = run_cli(capsys, *argv, *scan)
-        assert rc == 0 and out == want["128"] != want["512"]
+        assert rc == 0 and out == want["128"] != want["256"]
         assert len(json.loads(out)["rows"][0]["P"]) == 43
 
     @pytest.mark.parametrize("line", ["seed=1", "max_atoms=10"])
