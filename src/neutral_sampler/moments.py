@@ -1,6 +1,7 @@
 """The exact engine: the generator of the neutral diffusion on power-sum
-monomials, its stationary solution (the Poisson-Dirichlet moments) and its
-transient solution (the eigen-coefficients), in exact arithmetic only.
+monomials and its one exact recursion, whose solution gives the transient
+eigen-coefficients and, as their stationary part, the Poisson-Dirichlet
+moments, in exact arithmetic only.
 
 The generator is triangular on power-sum monomials (phi_1 == 1):
 
@@ -8,20 +9,24 @@ The generator is triangular on power-sum monomials (phi_1 == 1):
                 + sum_{i<j} eta_i eta_j phi_{eta_i, eta_j -> eta_i + eta_j - 1}
                 - lambda_n phi_eta
 
-(Ethier & Kurtz 1981; Griffiths 1979).  PD(theta) is its stationary law, so
-the power-sum moments solve lambda_n <phi_eta, 1> = sum c <phi_zeta, 1> over
-the children; and E_x phi_eta(X_t) = sum_m A_eta[m] e^{-lambda_m t} with
-finitely many exact rational coefficients, found by recursion on the same
-children.  No series truncation and no orthogonal basis is involved.
+(Ethier & Kurtz 1981; Griffiths 1979).  So E_x phi_eta(X_t) = sum_m A_eta[m]
+e^{-lambda_m t} with finitely many exact rational coefficients, found by
+recursion on the children; PD(theta) is the generator's stationary law, so
+A_eta[0] = <phi_eta, 1>_theta whatever x is.  No series truncation and no
+orthogonal basis is involved.
 
-The transient recursion runs in integers, the way the t = 0 layer sums over
-D^n.  Write theta = p/q and d(u, m) = (u - m)(q(u + m - 1) + p), so that
+The recursion runs in integers, the way the t = 0 layer sums over D^n.
+Write theta = p/q and d(u, m) = (u - m)(q(u + m - 1) + p), so that
 lambda_u - lambda_m = d(u, m) / (2q); let L_u = prod_{m in {0, 2, ..., u-1}}
 d(u, m) and H_n = L_2 ... L_n.  With D the lcm of the atoms' denominators,
-every A_xi[m] with |xi| = n is an integer N_xi[m] over D^n H_n.  A sampler or
-moment sums the numerators of its labels over one common denominator and
-builds one Fraction per m, with caches keyed by theta's integers p, q: every
-float evaluator (transient) at a theta shares them.  No mpmath is imported.
+every A_xi[m] with |xi| = n is an integer N_xi[m] over D^n H_n.  The
+numerators of one (theta, vector) live in one store, keyed by theta's
+integers p, q and the vector's integer form, which holds every label the
+recursion has reached and is never evicted label by label: every float
+evaluator (transient) at a theta shares it, and the PD moments read the
+store of pure dust (D = 1).  A sampler or moment sums the numerators of its
+labels over one common denominator and builds one Fraction per m.  No mpmath
+is imported.
 """
 
 from __future__ import annotations
@@ -34,12 +39,11 @@ from math import factorial
 from .combinatorics import EMPTY, IntegerPartition
 from .sampling import FrequencyVector
 
-#: Entries in the cache of integer numerators, one per (theta, label, x), in
-#: total over every theta.  One theta and vector visit every label with parts
-#: >= 2 up to the largest size: 231 up to 16, 297 up to 17 and 627 up to 20.
-#: So the bound holds all labels up to size 20 on one vector; a smaller bound
-#: evicts children the recursion still needs and recomputes them.
-LABEL_CACHE_SIZE = 1024
+#: Stores of integer numerators kept, one per (theta, vector), in total over
+#: every theta; a store holds every label reached at its pair, about 10 MB
+#: at n = 24.  The least bound at which no benchmark workload computes a
+#: store twice: `verify --suite all` comes back to a pair after six others.
+STORE_CACHE_SIZE = 7
 
 #: Entries in total in the cache of (L_n, H_n, ...), one per (theta, n), and
 #: in the cache of lambda_m, one per (float evaluator, m).
@@ -106,48 +110,21 @@ def generator_children(label: IntegerPartition) -> tuple[tuple[IntegerPartition,
     return tuple((IntegerPartition._trusted(k), w) for k, w in weights.items())
 
 
-# One entry per label, shared by every theta: room for every label with
-# parts >= 2 up to size 20 (627 of them).
-@lru_cache(maxsize=1024)
-def _moment_polynomial(eta: IntegerPartition) -> tuple[int, ...]:
-    """(c_0, ..., c_l) with theta_(n) <phi_eta, 1>_theta = sum_d c_d theta^d.
-
-    PD(theta) is the generator's stationary law, so lambda_n <phi_eta, 1> =
-    sum c <phi_zeta, 1> over the children (zeta, c) of eta.  With lambda_n =
-    n (theta + n - 1) / 2 the polynomial is 2/n times the sum of c times each
-    child's, where a child of size n - 2 also takes the factor theta + n - 2.
-    """
-    n = eta.n
-    if n == 0:
-        return (1,)
-    out = [0] * (eta.l + 1)
-    for child, c in generator_children(eta):
-        for d, a in enumerate(_moment_polynomial(child)):
-            if child.n == n - 2:
-                out[d + 1] += c * a
-                a *= n - 2
-            out[d] += c * a
-    return tuple(2 * v // n for v in out)
-
-
 # One entry per (label, theta): room for the 134 labels up to size 14 at
 # about 30 thetas, while a theta scan only revisits the theta it is on.
 @lru_cache(maxsize=4096)
 def power_sum_moment(eta: IntegerPartition, theta) -> Fraction:
     """<phi_eta, 1>_theta: the PD(theta) mean of the power-sum product.
 
-    With theta = p/q and c_d the coefficients of _moment_polynomial it is
-    sum_d c_d p^d q^(n-d) / prod_{i<n} (p + i q), one fraction.  Requires
-    every part >= 2 (the empty partition gives 1).
+    The stationary part A_eta[0] of the transient recursion, which no vector
+    changes, read on pure dust: N[0] / H_n at theta = p/q.  Requires every
+    part >= 2 (the empty partition gives 1).
     """
     theta = check_theta(theta)
-    if eta == EMPTY:
-        return Fraction(1)
-    check_min_part(eta, "moment")
-    p, q, n = theta.numerator, theta.denominator, eta.n
-    num = sum(c * p**d * q**(n - d)
-              for d, c in enumerate(_moment_polynomial(eta)))
-    return Fraction(num, _rising_numerator(p, q, n))
+    if eta != EMPTY:
+        check_min_part(eta, "moment")
+    p, q = theta.numerator, theta.denominator
+    return Fraction(label_numerators(p, q, eta, (1, ()))[0], level(p, q, eta.n)[1])
 
 
 def mixed_power_sum_moment(eta: IntegerPartition, xi: IntegerPartition, theta) -> Fraction:
@@ -167,24 +144,34 @@ def level(p: int, q: int, n: int) -> tuple[int, int, tuple[int, ...]]:
     return l_n, level(p, q, n - 1)[1] * l_n, factors
 
 
-@lru_cache(maxsize=LABEL_CACHE_SIZE)
+@lru_cache(maxsize=STORE_CACHE_SIZE)
+def _store(p: int, q: int, table: tuple[int, tuple[int, ...]]
+           ) -> dict[IntegerPartition, tuple[int, ...]]:
+    """{label: numerators} of every label computed at theta = p/q on the
+    vector whose integer form is `table`; the empty label's are (1,)."""
+    return {EMPTY: (1,)}
+
+
 def label_numerators(p: int, q: int, label: IntegerPartition,
                      table: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     """(N[0], ..., N[n]) with A_label[m] = N[m] / (D^n H_n) at theta = p/q
-    and the vector whose integer form is (D, weights).
+    and the vector whose integer form is (D, weights), computed once per
+    store.
 
     A child of size s contributes c D^{n-s} (H_{n-1} / H_s) N_child[m]
     to the sum that 2q L_n / d(n, m) turns into N[m] for m < n; at
     t = 0 the A[m] sum to phi_label(x) = prod_p W_p / D^n, which fixes
     N[n] = H_n prod_p W_p - sum_{m<n} N[m]."""
+    store = _store(p, q, table)
+    known = store.get(label)
+    if known is not None:
+        return known
     n = label.n
-    if n == 0:
-        return (1,)
     d, weights = table
     near, far = [0] * n, [0] * n  # children of size n - 1 and n - 2
     for child, c in generator_children(label):
         acc = near if child.n == n - 1 else far
-        for m, a in enumerate(label_numerators(p, q, child, table)):
+        for m, a in enumerate(store.get(child) or label_numerators(p, q, child, table)):
             if a:
                 acc[m] += c * a
     _, h_n, factors = level(p, q, n)
@@ -195,7 +182,8 @@ def label_numerators(p: int, q: int, label: IntegerPartition,
     for part in label.parts:
         top *= sum(w**part for w in weights)
     out.append(top - sum(out))
-    return tuple(out)
+    store[label] = out = tuple(out)
+    return out
 
 
 def eigen_coefficients(

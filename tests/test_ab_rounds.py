@@ -83,3 +83,23 @@ def test_a_combine_rounded_one_bit_short_reads_nonzero(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     floats, exacts = _totals(proc)
     assert floats > 0 and exacts == 0, proc.stdout
+
+
+def test_a_command_counts_its_json_fields_by_kind():
+    # A command's stdout is parsed as JSON: integers and fractions are exact,
+    # other decimal strings are floats, so a change of float digits alone
+    # reads as no changed exact output; a stdout that is no JSON is one
+    # exact value.
+    def command(stdout):
+        return list(ab_rounds.command_values({"rc": 0, "stdout": stdout, "stderr": ""}))
+
+    base = command('{"theta":"3/2","t":"0.1","value":"0.5653","n":3,"t0_value":"-43/72"}\n')
+    change = command('{"theta":"3/2","t":"0.1","value":"0.5654","n":3,"t0_value":"-43/72"}\n')
+    assert [kind for kind, _ in base] == ["exact", "exact", "float", "exact", "exact",
+                                          "float", "exact"]
+    assert ab_rounds.compare([base], [change]) == {"float": [1, 2], "exact": [0, 5]}
+    moved = command('{"theta":"3/2","t":"0.1","value":"0.5653","n":3,"t0_value":"-43/71"}\n')
+    assert ab_rounds.compare([base], [moved]) == {"float": [0, 2], "exact": [1, 5]}
+    assert command("ok: suite 'normalization' passed\n") == [
+        ("exact", ["int", "0"]), ("exact", ["str", repr("ok: suite 'normalization' passed\n")]),
+        ("exact", ["str", "''"])]

@@ -10,11 +10,17 @@ from fractions import Fraction
 
 import neutral_sampler
 from neutral_sampler.combinatorics import (
+    EMPTY,
     IntegerPartition,
     enumerate_partitions,
     enumerate_partitions_min2,
 )
-from neutral_sampler.moments import LABEL_CACHE_SIZE, label_numerators
+from neutral_sampler.moments import (
+    STORE_CACHE_SIZE,
+    _store,
+    generator_children,
+    label_numerators,
+)
 from neutral_sampler.sampling import (
     FrequencyVector,
     _power_sum_table,
@@ -43,10 +49,9 @@ CACHES = {
     "combinatorics.coarsening_weights",
     "combinatorics.enumerate_partitions",
     "combinatorics.enumerate_set_partitions",
-    "moments._moment_polynomial",
+    "moments._store",
     "moments.generator_children",
     "moments.power_sum_moment",
-    "moments.label_numerators",
     "moments.level",
     "sampling._power_sum_table",
     "sampling.expansion_of_monomial_sampler",
@@ -72,14 +77,14 @@ def test_eigencoeff_cache_holds_at_most_its_bound():
     eta, omega = IntegerPartition.of(2, 1), IntegerPartition.of(2)
     rng = random.Random(7)
     seen = set()
-    # Each vector adds one entry to the sampler cache and at least one to the
-    # label cache, so this fills both past their bounds.
-    while len(seen) < LABEL_CACHE_SIZE + 50:
+    # Each vector adds one entry to the sampler cache and one store of
+    # numerators, so this fills both past their bounds.
+    while len(seen) < max(STORE_CACHE_SIZE, EIGENCOEFF_CACHE_SIZE) + 50:
         x = random_frequency_vector(rng, max_atoms=4, with_dust=True)
         seen.add(x)
         ev.sampling_probability(eta, x, 1.0)
         ev.moment(omega, x, 1.0)
-    assert label_numerators.cache_info().currsize == LABEL_CACHE_SIZE
+    assert _store.cache_info().currsize == STORE_CACHE_SIZE
     assert ev._sampler_terms.cache_info().currsize == EIGENCOEFF_CACHE_SIZE
 
 
@@ -129,18 +134,39 @@ def test_an_evaluator_is_freed_without_the_cyclic_collector():
         gc.enable()
 
 
+def _computed_labels() -> int:
+    """Labels the recursion has computed so far: each asks for its children
+    once, and nothing else asks."""
+    return sum(generator_children.cache_info()[:2])
+
+
 def test_label_cache_holds_every_label_up_to_size_17_on_one_vector():
     # The recursion from the 66 labels of size 17 visits all 297 labels with
-    # parts >= 2 up to size 17; a bound below that evicts children it still
-    # needs, and each one recomputed is a second miss for the same entry.
-    label_numerators.cache_clear()
+    # parts >= 2 up to size 17, the empty one included; its one store holds
+    # them, and the 296 others are computed once each.
+    _store.cache_clear()
     table = FrequencyVector.of(Fraction(1, 2), Fraction(1, 3),
                                Fraction(1, 6)).integer_form
+    before = _computed_labels()
     for label in enumerate_partitions_min2(17):
         label_numerators(1, 1, label, table)
-    info = label_numerators.cache_info()
-    assert info.currsize == 297
-    assert info.misses == info.currsize
+    assert _computed_labels() - before == 296
+    store = _store(1, 1, table)
+    assert len(store) == 297 and EMPTY in store
+    assert _store.cache_info().misses == 1
+
+
+def test_a_second_pass_over_size_23_computes_no_label():
+    # The 1254 labels with parts >= 2 up to size 23 (1255 with the empty
+    # one) stay in their store, so asking again for every label of size 23
+    # reads them all; a cache bounded by a count of labels below 1255 would
+    # evict children and compute them again.
+    table = FrequencyVector.parse("1/2,1/3,1/6").integer_form
+    labels = enumerate_partitions_min2(23)
+    first = [label_numerators(1, 1, label, table) for label in labels]
+    before = _computed_labels()
+    assert [label_numerators(1, 1, label, table) for label in labels] == first
+    assert _computed_labels() == before
 
 
 def test_power_sum_table_cache_holds_at_most_its_bound():

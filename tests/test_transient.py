@@ -19,9 +19,10 @@ from neutral_sampler.combinatorics import (
     multinomial_constant,
 )
 from neutral_sampler.moments import (
+    _store,
+    eigen_coefficients,
     esf_monomial_moment,
     generator_children,
-    label_numerators,
     power_sum_moment,
 )
 from neutral_sampler.sampling import (
@@ -316,7 +317,8 @@ LABELS_UP_TO_10 = [label for label in monomial_labels(10) if label != EMPTY]
 
 
 class TestGeneratorIdentities:
-    """The recursion against code it never calls, with zero tolerance."""
+    """The recursion against identities that hold at every theta and vector,
+    with zero tolerance."""
 
     def test_children_weights_sum_to_pairs(self):
         for label in LABELS_UP_TO_10:
@@ -326,15 +328,18 @@ class TestGeneratorIdentities:
                 assert c > 0 and label.n - child.n in (1, 2), (label, child)
                 assert child == EMPTY or child.min_part >= 2, (label, child)
 
-    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(7, 3), Fraction(10**8)],
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(7, 3), Fraction(10**8),
+                                       Fraction(1), Fraction(37, 4), Fraction(10**6)],
                              ids=str)
-    @pytest.mark.parametrize("x", ["1/2,1/3,1/6", "1/2,1/4", ""], ids=repr)
+    @pytest.mark.parametrize("x", ["1/2,1/3,1/6", "1/2,1/4", "", "2/7,1/5"], ids=repr)
     def test_stationary_part_and_t0_sum(self, theta, x):
-        # A[0] is the PD(theta) mean; the coefficients sum to phi_label(x).
+        # A[0] is the PD(theta) mean whatever x is, which power_sum_moment
+        # reads on pure dust; the coefficients sum to phi_label(x).
         x = FrequencyVector.parse(x)
         for label in LABELS_UP_TO_10:
             coeffs = label_coefficients(label, x, theta)
             assert coeffs[0] == power_sum_moment(label, theta), label
+            assert eigen_coefficients(theta, ((label, 1),), x)[0] == coeffs[0], label
             assert sum(coeffs) == power_sum_product(label, x), label
 
 
@@ -361,17 +366,21 @@ def test_integer_engine_equals_fraction_recursion_up_to_twelve(theta):
 
 
 def test_every_precision_shares_one_exact_recursion():
-    # The exact numerators are cached by (theta, label, x), so evaluators at
-    # three precisions of one theta miss each label once in total; each
-    # equals the direct combine of the shared Fractions at its own precision.
+    # The exact numerators live in one store per (theta, x), so evaluators at
+    # three precisions of one theta fill one store and compute each label
+    # once in total; each equals the direct combine of the shared Fractions
+    # at its own precision.
     theta, x, t = Fraction(1013, 29), FrequencyVector.parse("2/7,1/5,1/9,1/11"), 0.5
-    label_numerators.cache_clear()
+    _store.cache_clear()
+    computed = sum(generator_children.cache_info()[:2])
     evs = [SpectralEvaluator(theta, bits) for bits in (64, 256, 512)]
     for ev in evs:
         for eta in ETAS_UP_TO_7:
             ev.sampling_probability(eta, x, t)
-    info = label_numerators.cache_info()
-    assert info.misses == info.currsize == len(MOMENT_LABELS_UP_TO_7)
+    assert _store.cache_info().misses == _store.cache_info().currsize == 1
+    store = _store(theta.numerator, theta.denominator, x.integer_form)
+    assert len(store) == len(MOMENT_LABELS_UP_TO_7)  # the empty label included
+    assert sum(generator_children.cache_info()[:2]) - computed == len(store) - 1
     for eta in ETAS_UP_TO_7:
         coeffs = evs[0]._sampler_eigencoeffs(eta, x)
         for ev in evs:

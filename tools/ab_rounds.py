@@ -9,8 +9,11 @@ back to back, BASE first in even rounds, so host drift between rounds
 cancels in the per-round ratio.  Each cli_mix command runs through `cli.main`
 in an interpreter of its own, timed from before `import neutral_sampler.cli`
 (nothing imports `mpmath` earlier): the launch both sides share is untimed.
-An mpf in a result is a float output, compared by its raw `_mpf_` tuple; any
-other value (a command's exit code, stdout and stderr) is an exact output.
+An mpf in a result is a float output, compared by its raw `_mpf_` tuple.  A
+command's stdout is parsed as JSON: a string field that reads as an integer
+or a fraction is an exact output, and any other decimal string is a float
+output, compared as text.  Every other value (a command's exit code, its
+stderr, a stdout that is not JSON) is an exact output.
 After the last request, each lru_cache on a module or class of the package
 gives its hits and misses; `ab_rounds.py . .` reads one checkout's traffic.
 
@@ -32,6 +35,7 @@ import itertools
 import json
 import os
 import pkgutil
+import re
 import statistics
 import subprocess
 import sys
@@ -41,13 +45,19 @@ CHILD = "--child"
 SIDES = ("base", "change")
 METRICS = ("wall_s", "latency_p50_s")
 DIFFER = "float outputs %d differ of %d; exact outputs %d differ of %d"
+EXACT_TEXT = re.compile(r"-?\d+(/\d+)?")
+DECIMAL_TEXT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 def values(result):
-    """Yield ("float", [sign, man, exp, bc]) for each mpf in `result` and
-    ("exact", [type name, repr]) for every other value."""
+    """Yield ("float", [sign, man, exp, bc]) for each mpf in `result`,
+    ("float", text) for each decimal string that is no integer or fraction,
+    and ("exact", [type name, repr]) for every other value."""
     if hasattr(result, "_mpf_"):
         yield "float", list(result._mpf_)
+    elif (isinstance(result, str) and DECIMAL_TEXT.fullmatch(result)
+          and not EXACT_TEXT.fullmatch(result)):
+        yield "float", result
     elif hasattr(result, "_fields"):  # a FrozenRecord row
         yield from values([getattr(result, name) for name in result._fields])
     elif isinstance(result, (list, tuple)):
@@ -72,6 +82,16 @@ def run_cli(argv: list) -> dict:
     return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()[-2000:]}
 
 
+def command_values(result: dict):
+    """The values of one command: its exit code, its stdout parsed as JSON,
+    field by field (a stdout that is not JSON is one value), and its stderr."""
+    try:
+        stdout = json.loads(result["stdout"])
+    except ValueError:
+        stdout = result["stdout"]
+    return values([result["rc"], stdout, result["stderr"]])
+
+
 def cache_counts() -> dict:
     """{name: [hits, misses]} of every lru_cache defined on a module or on a
     class of the package, named as in `tests/test_caches.CACHES`."""
@@ -94,7 +114,8 @@ def child(checkout: str) -> int:
     output, values and error, the loop's wall time and the cache counts."""
     requests = json.load(sys.stdin)
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
-    if requests[0]["op"] == "cli":
+    cli = requests[0]["op"] == "cli"
+    if cli:
         calls = [(functools.partial(run_cli, req["argv"]), None) for req in requests]
     else:
         import neutral_sampler as ns
@@ -118,7 +139,8 @@ def child(checkout: str) -> int:
     json.dump({"wall_s": wall, "latency_s": latency, "errors": errors,
                "outputs": [None if r is None else (f(r) if f else r)
                            for r, (_, f) in zip(results, calls)],
-               "values": [[] if r is None else list(values(r)) for r in results],
+               "values": [[] if r is None else list((command_values if cli else values)(r))
+                          for r in results],
                "caches": cache_counts()}, sys.stdout)
     return 0
 
