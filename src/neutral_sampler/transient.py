@@ -33,7 +33,6 @@ from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_div, mpf_exp, 
 from .combinatorics import EMPTY, IntegerPartition, multinomial_constant
 from .config import DEFAULT_PRECISION_BITS, check_precision
 from .moments import (
-    LEVEL_CACHE_SIZE,
     check_min_part,
     check_theta,
     eigen_coefficients,
@@ -135,13 +134,6 @@ class SpectralEvaluator:
     def _sampler_terms(self, eta: IntegerPartition, x: FrequencyVector):
         return self._mpf_terms(self._sampler_eigencoeffs(eta, x))
 
-    @lru_cache(maxsize=LEVEL_CACHE_SIZE)
-    def _rate(self, m: int) -> tuple:
-        """lambda_m = m (q (m - 1) + p) / (2 q) for theta = p/q, rounded once."""
-        p, q = self.theta.numerator, self.theta.denominator
-        return mpf_div(from_int(m * (q * (m - 1) + p)), from_int(2 * q),
-                       self.precision_bits, round_nearest)
-
     @lru_cache(maxsize=DECAY_CACHE_SIZE)
     def _decay_row(self, t, top: int) -> tuple[tuple[int, int], ...]:
         """(mantissa, exponent) of e^{-lambda_m t} for m <= top, (1, 0) below 2,
@@ -150,7 +142,10 @@ class SpectralEvaluator:
         if top < 2:
             return ((1, 0),) * (top + 1)
         prec = self.precision_bits
-        arg = mpf_mul(mpf_neg(self._rate(top)), _raw_mpf(t, prec), prec, round_nearest)
+        # lambda_top = top (q (top - 1) + p) / (2 q) for theta = p/q, rounded once.
+        p, q = self.theta.numerator, self.theta.denominator
+        rate = mpf_div(from_int(top * (q * (top - 1) + p)), from_int(2 * q), prec, round_nearest)
+        arg = mpf_mul(mpf_neg(rate), _raw_mpf(t, prec), prec, round_nearest)
         # |arg| >= 2^64: mpf_exp would take ln 2 to as many bits as |arg| has.
         if arg[2] + arg[3] > 64:
             decay = _FAR_DECAY

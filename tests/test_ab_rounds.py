@@ -1,4 +1,6 @@
+import functools
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -13,10 +15,12 @@ ab_rounds = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab_rounds)
 
 
-def _run(base: str, change: str, workload: str) -> subprocess.CompletedProcess:
+@functools.lru_cache(maxsize=None)
+def _run(base: str, change: str, workload: str, rounds: int = 1,
+         seed: int = 1) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, _PATH, base, change, "--workload", workload,
-         "--rounds", "1", "--seed", "1"],
+         "--rounds", str(rounds), "--seed", str(seed)],
         capture_output=True, text=True, timeout=300)
 
 
@@ -27,23 +31,47 @@ def _totals(proc: subprocess.CompletedProcess) -> tuple[int, int]:
     return (int(words[words.index("float") + 2]), int(words[words.index("exact") + 2]))
 
 
+def _metrics() -> list:
+    with open(os.path.join(_ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)["end_to_end"]
+
+
 def test_summary_gives_the_median_round_ratio_and_wins():
-    rounds = [({"wall_s": 2.0, "latency_p50_s": 1.0}, {"wall_s": 1.0, "latency_p50_s": 1.0}),
-              ({"wall_s": 2.0, "latency_p50_s": 1.0}, {"wall_s": 3.0, "latency_p50_s": 0.5}),
-              ({"wall_s": 4.0, "latency_p50_s": 2.0}, {"wall_s": 3.0, "latency_p50_s": 3.0})]
-    wall, p50 = ab_rounds.summarize(rounds)
-    assert wall == ("wall_s", pytest.approx(0.75), 2, 0)
-    assert p50 == ("latency_p50_s", pytest.approx(1.0), 1, 1)
+    metrics = [{"name": "a", "better": "lower", "bound": None}]
+    rounds = [({"a": 2.0}, {"a": 1.0}), ({"a": 2.0}, {"a": 3.0}), ({"a": 4.0}, {"a": 3.0}),
+              ({"a": 1.0}, {"a": 1.0})]
+    row, = ab_rounds.summarize(rounds, ({"a": 9.0}, {"a": 8.0}), metrics)
+    assert row["ratio"] == pytest.approx(8 / 9)
+    assert row["round_ratio"] == pytest.approx(0.875)
+    assert (row["wins"], row["ties"], row["rounds"], row["worse"]) == (2, 1, 4, False)
+
+
+def test_summary_reads_direction_and_bound_from_the_benchmark():
+    # A higher max_n_in_budget is a win; a tail 30 % slower is worse than
+    # its 25 % bound, one 20 % slower is not.
+    names = [m["name"] for m in _metrics()]
+    base = dict.fromkeys(names, 100.0)
+    change = dict(base, max_n_in_budget=105.0, latency_tail_ms=130.0, latency_p50_ms=120.0,
+                  throughput_rps=70.0)
+    rows = {row["name"]: row for row in ab_rounds.summarize(
+        [(base, change)], (base, change), _metrics())}
+    assert rows["max_n_in_budget"]["wins"] == 1 and not rows["max_n_in_budget"]["worse"]
+    assert rows["latency_tail_ms"]["wins"] == 0 and rows["latency_tail_ms"]["worse"]
+    assert not rows["latency_p50_ms"]["worse"]
+    assert rows["throughput_rps"]["worse"]
+    assert rows["setup_s"]["ties"] == 1 and not rows["setup_s"]["worse"]
 
 
 def test_a_checkout_against_itself_agrees_on_one_round():
     proc = _run(_ROOT, _ROOT, "transient_grid")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("round 0 (base first): wall_s ")
-    assert lines[1] == "transient_grid, 1 rounds at seed 1: median per-round change/base"
-    assert [line.split()[0] for line in lines[2:4]] == ["wall_s", "latency_p50_s"]
-    assert lines[4].startswith("float outputs ")
+    assert lines[0].startswith("round 0 (base first): setup_s ")
+    assert lines[1].startswith("transient_grid, 1 rounds at seed 1: base -> change")
+    assert [line.split()[0] for line in lines[2:9]] == [m["name"] for m in _metrics()] + [
+        "prepare_s"]
+    assert lines[9].startswith("float outputs ")
+    assert lines[10] == "failures: base 0, change 0, shared 0"
 
 
 def test_relative_checkout_paths_resolve_once():
@@ -67,9 +95,8 @@ def test_a_checkout_against_itself_reads_zero():
         assert _totals(proc) == (0, 0), proc.stdout
 
 
-def test_a_combine_rounded_one_bit_short_reads_nonzero(tmp_path):
-    # A copy whose combine rounds to precision_bits - 1 bits changes float
-    # outputs, and no exact one.
+def _mutant(tmp_path, bits: str) -> str:
+    """A copy whose combine rounds to `bits` bits instead of precision_bits."""
     mutant = tmp_path / "mutant"
     for part in ("src", "bench"):
         shutil.copytree(os.path.join(_ROOT, part), mutant / part,
@@ -78,8 +105,14 @@ def test_a_combine_rounded_one_bit_short_reads_nonzero(tmp_path):
     text = source.read_text()
     exact = "from_man_exp(man, exp, self.precision_bits, round_nearest)"
     assert text.count(exact) == 1
-    source.write_text(text.replace(exact, exact.replace("precision_bits", "precision_bits - 1")))
-    proc = _run(_ROOT, str(mutant), "transient_grid")
+    source.write_text(text.replace(exact, exact.replace("self.precision_bits", bits)))
+    return str(mutant)
+
+
+def test_a_combine_rounded_one_bit_short_reads_nonzero(tmp_path):
+    # A copy whose combine rounds to precision_bits - 1 bits changes float
+    # outputs, and no exact one; every check still passes.
+    proc = _run(_ROOT, _mutant(tmp_path, "self.precision_bits - 1"), "transient_grid")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     floats, exacts = _totals(proc)
     assert floats > 0 and exacts == 0, proc.stdout
@@ -103,3 +136,29 @@ def test_a_command_counts_its_json_fields_by_kind():
     assert command("ok: suite 'normalization' passed\n") == [
         ("exact", ["int", "0"]), ("exact", ["str", repr("ok: suite 'normalization' passed\n")]),
         ("exact", ["str", "''"])]
+
+
+def test_a_repeated_time_fails_both_sides_and_is_not_counted():
+    # Round 1 of seed 45 draws t = 0.01022 twice, so every sum over eta at
+    # that t counts each eta twice and BASE's check fails on both sides.
+    proc = _run(_ROOT, _ROOT, "transient_grid", rounds=2, seed=45)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].endswith("; t grid distinct")
+    assert lines[1].endswith("; t grid repeats 0.01022")
+    assert "failures: base 104, change 104, shared 104" in lines
+    assert ("shared: round 1, 104 requests fail on both sides; t grid repeats 0.01022"
+            in lines)
+    assert not any(line.startswith("FAILED") for line in lines), proc.stdout
+
+
+def test_a_perturbed_transient_value_fails_the_change(tmp_path):
+    # Rounded to 53 bits, the transient values miss the checks' 30 digits on
+    # the change side only.
+    proc = _run(_ROOT, _mutant(tmp_path, "53"), "transient_grid")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    failed = [line for line in lines if line.startswith("FAILED ")]
+    assert failed[0].startswith("FAILED round 0 request 0: change only: output check: ")
+    assert failed[-1].startswith("FAILED ... and ")
+    assert any(line.startswith("failures: base 0, change ") for line in lines)

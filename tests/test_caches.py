@@ -57,7 +57,6 @@ CACHES = {
     "sampling.expansion_of_monomial_sampler",
     "transient.get_evaluator",
     "transient.SpectralEvaluator._decay_row",
-    "transient.SpectralEvaluator._rate",
     "transient.SpectralEvaluator._sampler_terms",
 }
 
@@ -111,8 +110,7 @@ def test_an_evaluator_is_freed_without_the_cyclic_collector():
     # No evaluator refers to itself, so reference counting frees one that is
     # dropped or that get_evaluator evicts; one that has computed a value is
     # freed with the last cache entry keyed by it.
-    class_caches = (SpectralEvaluator._sampler_terms, SpectralEvaluator._decay_row,
-                    SpectralEvaluator._rate)
+    class_caches = (SpectralEvaluator._sampler_terms, SpectralEvaluator._decay_row)
     gc.disable()
     try:
         dropped = weakref.ref(SpectralEvaluator(Fraction(5, 3)))
