@@ -8,8 +8,7 @@ the constant function 1 and sorts before everything.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial
+from math import factorial
 from typing import Iterator
 
 from .records import FrozenRecord
@@ -76,11 +75,6 @@ class IntegerPartition(FrozenRecord):
         for p in self.parts:
             counts[p - 1] += 1
         return tuple(counts)
-
-    @property
-    def multiplicities(self) -> tuple[tuple[int, int], ...]:
-        """(part, multiplicity) pairs, largest part first."""
-        return tuple((p, c) for p, c in reversed(tuple(enumerate(self.alpha, 1))) if c)
 
     @property
     def alpha_1(self) -> int:
@@ -176,45 +170,6 @@ def enumerate_set_partitions(l: int, d: int) -> tuple[tuple[tuple[int, ...], ...
 
     assign(1, [])
     return tuple(results)
-
-
-# Expanding every eta of n = 20 visits 1254 sub-multisets.
-@lru_cache(maxsize=4096)
-def coarsening_weights(
-    multiset: tuple[tuple[int, int], ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Moebius-weighted sum over the set partitions of a multiset of parts,
-    grouped by the multiset of block sums.
-
-    `multiset` holds (part, multiplicity) pairs, largest part first, as
-    IntegerPartition.multiplicities gives them.  Returns (block sums,
-    weight) pairs, the sums nonincreasing, with zero weights dropped.  A set
-    partition weighs the product over its blocks B of (-1)^(|B|-1) (|B|-1)!,
-    the Moebius function of the partition lattice.
-
-    Equal parts are indistinguishable, so no set partition is listed: one
-    copy of the largest part takes a sub-multiset of the rest into its block,
-    C(c, s) ways for s of c equal copies, and the remainder recurses.
-    """
-    if not multiset:
-        return (((), 1),)
-    (top, count), rest = multiset[0], multiset[1:]
-    groups = ((top, count - 1),) + rest
-    out: dict[tuple[int, ...], int] = {}
-    for taken in product(*(range(c + 1) for _, c in groups)):
-        size, total, ways = 1, top, 1
-        remainder = []
-        for (part, c), s in zip(groups, taken):
-            size += s
-            total += part * s
-            ways *= comb(c, s)
-            if c > s:
-                remainder.append((part, c - s))
-        ways *= (-1) ** (size - 1) * factorial(size - 1)
-        for sums, weight in coarsening_weights(tuple(remainder)):
-            key = tuple(sorted(sums + (total,), reverse=True))
-            out[key] = out.get(key, 0) + ways * weight
-    return tuple((k, v) for k, v in out.items() if v != 0)
 
 
 def multinomial_constant(eta: IntegerPartition) -> int:

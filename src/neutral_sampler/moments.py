@@ -86,8 +86,8 @@ def check_min_part(label: IntegerPartition, name: str):
 
 
 # One entry per label, shared by every theta: room for every label with
-# parts >= 2 up to size 20 (627 of them).
-@lru_cache(maxsize=1024)
+# parts >= 2 up to size 28 (3718 of them).
+@lru_cache(maxsize=4096)
 def generator_children(label: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
     """(zeta, c) pairs with L phi_label = sum c phi_zeta - lambda_n phi_label.
 

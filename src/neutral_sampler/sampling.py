@@ -3,10 +3,10 @@
 Two independent routes are kept side by side: a brute-force direct sum over
 injective maps from sample slots to atoms, walked once per (slot, set of used
 atoms) state in integers over a common denominator of the atoms (exponential
-in the number of atoms, capped), and the alternating set-partition expansion
-in power sums (the continuous extension, with the phi_1 == 1 convention),
-summed by a recursion on the multiset of parts and evaluated as one integer
-sum over the same common denominator.  The walk shares no code with the
+in the number of atoms, capped), and the expansion in power sums (the
+continuous extension, with the phi_1 == 1 convention), built by the augmented
+monomials' recursion on the largest part and evaluated as one integer sum
+over the same common denominator.  The walk shares no code with the
 expansion.
 Singleton sample slots may draw from the dust mass 1 - sum(atoms); each
 dust draw is automatically a fresh type.
@@ -22,7 +22,6 @@ from math import lcm
 
 from .combinatorics import (
     IntegerPartition,
-    coarsening_weights,
     enumerate_partitions,
     multinomial_constant,
 )
@@ -207,42 +206,62 @@ def monomial_sampler_bruteforce(eta: IntegerPartition, x: FrequencyVector) -> Fr
     return Fraction(walk(0, 0), d**eta.n)
 
 
-# Room for every eta up to n = 16 (915 of them).
-@lru_cache(maxsize=1024)
-def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
-    """Expansion of p^o_eta over power-sum monomials phi_xi.
+# Every eta of n = 23 reaches 3511 labels; past that the bound evicts without
+# a cliff (every eta of 26: 7792 misses, against 6829 unbounded).
+@lru_cache(maxsize=4096)
+def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Expansion of p^o_eta over power-sum monomials phi_xi, xi a partition
+    of |eta| (phi_1 == 1 is left to the evaluation).
 
-    Returns (xi, coefficient) pairs where xi has all parts >= 2 or is empty:
-    the Moebius-weighted sum over set partitions of the parts, grouped by
-    block sums, with block sums equal to 1 dropped because phi_1 == 1.
+    Returns (parts of xi, coefficient) pairs, the parts nonincreasing, with
+    no zero coefficient.  With a the largest part of eta and rho the rest,
+    phi_a p^o_rho sums over an atom for a that is either none of the atoms
+    of rho's parts or the atom of some part rho_j, which then merges with a;
+    so
+
+        p^o_(a,rho) = phi_a p^o_rho - sum_j c_j p^o_(rho: rho_j -> rho_j + a)
+
+    over the distinct parts rho_j of rho, c_j copies each (the augmented
+    monomials' identity; Doubilet 1972, Macdonald 1995 ch. I).  A merged
+    part is the largest, so each merged eta is in order.
     """
-    coeffs: dict[tuple[int, ...], int] = {}
-    for sums, weight in coarsening_weights(eta.multiplicities):
-        key = tuple(s for s in sums if s >= 2)
-        coeffs[key] = coeffs.get(key, 0) + weight
-    return tuple((IntegerPartition._trusted(k), v)
-                 for k, v in coeffs.items() if v != 0)
+    parts = eta.parts
+    if not parts:
+        return (((), 1),)
+    a, rest = parts[0], parts[1:]
+    coeffs = {tuple(sorted(xi + (a,), reverse=True)): c
+              for xi, c in expansion_of_monomial_sampler(IntegerPartition._trusted(rest))}
+    for i, r in enumerate(rest):
+        if i and rest[i - 1] == r:
+            continue
+        count = rest.count(r)
+        merged = IntegerPartition._trusted((r + a,) + rest[:i] + rest[i + 1:])
+        for xi, c in expansion_of_monomial_sampler(merged):
+            coeffs[xi] = coeffs.get(xi, 0) - count * c
+    return tuple((xi, c) for xi, c in coeffs.items() if c)
 
 
 def sampler_expansion(eta: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
-    """p_eta = multinomial_constant(eta) p^o_eta over power-sum monomials:
-    the pairs of expansion_of_monomial_sampler, each scaled by the constant."""
+    """p_eta = multinomial_constant(eta) p^o_eta over power-sum monomials
+    with parts >= 2: the pairs of expansion_of_monomial_sampler, each scaled
+    by the constant, with their parts 1 dropped (phi_1 == 1).  Each xi sums
+    to |eta|, so dropping its parts 1 merges no two of them."""
     const = multinomial_constant(eta)
-    return tuple((xi, const * c) for xi, c in expansion_of_monomial_sampler(eta))
+    return tuple((IntegerPartition._trusted(xi[:len(xi) - xi.count(1)]), const * c)
+                 for xi, c in expansion_of_monomial_sampler(eta))
 
 
 def monomial_sampler_expansion(eta: IntegerPartition, x: FrequencyVector) -> Fraction:
-    """p^o_eta(x) via the alternating set-partition expansion, summed as one
-    integer over the common denominator D^|eta|."""
-    n = eta.n
-    d_powers, sums = _power_sum_table(x, n)
+    """p^o_eta(x) via its power-sum expansion, summed as one integer over
+    the common denominator D^|eta|: each phi_xi(x) is the product of the
+    table's W_p over D^|eta|, W_1 = D giving phi_1 == 1."""
+    d_powers, sums = _power_sum_table(x, eta.n)
     total = 0
-    for xi, coeff in expansion_of_monomial_sampler(eta):
-        term = coeff * d_powers[n - xi.n]
-        for p in xi.parts:
+    for xi, term in expansion_of_monomial_sampler(eta):
+        for p in xi:
             term *= sums[p]
         total += term
-    return Fraction(total, d_powers[n])
+    return Fraction(total, d_powers[eta.n])
 
 
 def sampling_probability(eta: IntegerPartition, x: FrequencyVector) -> Fraction:

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import json
 import os
+import py_compile
 import shutil
 import subprocess
 import sys
@@ -162,3 +163,28 @@ def test_a_perturbed_transient_value_fails_the_change(tmp_path):
     assert failed[0].startswith("FAILED round 0 request 0: change only: output check: ")
     assert failed[-1].startswith("FAILED ... and ")
     assert any(line.startswith("failures: base 0, change ") for line in lines)
+
+
+def test_a_side_compiles_its_bytecode_under_its_own_prefix(tmp_path, monkeypatch):
+    # Bytecode switched off by the caller, and a stale .pyc in the tree that
+    # Python would load without checking its source: a side's child still
+    # compiles what it imports, reads nothing from the tree, and writes
+    # under its own prefix only, as the other side does.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    tree, prefix = tmp_path / "tree", tmp_path / "prefix"
+    tree.mkdir()
+    source = tree / "probe_module.py"
+    source.write_text("VALUE = 'stale'\n")
+    stale = importlib.util.cache_from_source(str(source))
+    py_compile.compile(str(source), cfile=stale,
+                       invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    source.write_text("VALUE = 'fresh'\n")
+    env = ab_rounds.child_env(str(prefix))
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, probe_module; "
+         "print(probe_module.VALUE, sys.flags.dont_write_bytecode, sys.pycache_prefix)"],
+        cwd=tree, env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["fresh", "0", str(prefix)]
+    assert len(list(prefix.rglob("probe_module.*.pyc"))) == 1
+    assert os.listdir(tree / "__pycache__") == [os.path.basename(stale)]

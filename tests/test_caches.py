@@ -24,6 +24,7 @@ from neutral_sampler.moments import (
 from neutral_sampler.sampling import (
     FrequencyVector,
     _power_sum_table,
+    expansion_of_monomial_sampler,
     random_frequency_vector,
     sampling_probability,
 )
@@ -46,7 +47,6 @@ def _bounds(namespace, prefix, module_name=None):
 #: Every lru_cache defined on a module or a class of the package.
 CACHES = {
     "basis.build_basis",
-    "combinatorics.coarsening_weights",
     "combinatorics.enumerate_partitions",
     "combinatorics.enumerate_set_partitions",
     "moments._store",
@@ -165,6 +165,15 @@ def test_a_second_pass_over_size_23_computes_no_label():
     before = _computed_labels()
     assert [label_numerators(1, 1, label, table) for label in labels] == first
     assert _computed_labels() == before
+
+
+def test_sampler_expansion_computes_each_label_once():
+    # Every eta of 20 reaches 1743 labels, each a miss once and kept.
+    expansion_of_monomial_sampler.cache_clear()
+    for eta in enumerate_partitions(20):
+        expansion_of_monomial_sampler(eta)
+    info = expansion_of_monomial_sampler.cache_info()
+    assert info.misses == info.currsize <= info.maxsize
 
 
 def test_power_sum_table_cache_holds_at_most_its_bound():

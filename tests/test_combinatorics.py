@@ -9,13 +9,12 @@ from neutral_sampler.combinatorics import (
     EMPTY,
     EmptyInputError,
     IntegerPartition,
-    coarsening_weights,
     enumerate_partitions,
     enumerate_set_partitions,
     multinomial_constant,
 )
 from neutral_sampler.moments import generator_children
-from neutral_sampler.sampling import expansion_of_monomial_sampler
+from neutral_sampler.sampling import sampler_expansion
 from conftest import alpha_multinomial_constant, bell, partition_count, stirling2
 
 
@@ -62,7 +61,7 @@ class TestIntegerPartition:
                   IntegerPartition.of(*a), IntegerPartition.parse(text),
                   IntegerPartition.of(*a).concat(IntegerPartition.of(*b))]
         labels += [child for child, _ in generator_children(IntegerPartition.of(*b))]
-        labels += [xi for xi, _ in expansion_of_monomial_sampler(IntegerPartition.of(*a))]
+        labels += [xi for xi, _ in sampler_expansion(IntegerPartition.of(*a))]
         for label in labels:
             assert label.n == sum(label.parts), label
         with pytest.raises(AttributeError):
@@ -174,21 +173,6 @@ class TestSetPartitions:
             enumerate_set_partitions(3, 0)
         with pytest.raises(EmptyInputError):
             enumerate_set_partitions(0, 1)
-
-
-class TestCoarseningWeights:
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_moebius_weights_sum_to_zero(self, n):
-        # sum over the partition lattice of mu(0, pi) vanishes for l >= 2.
-        for eta in enumerate_partitions(n):
-            if eta.l >= 2:
-                weights = coarsening_weights(eta.multiplicities)
-                assert sum(w for _, w in weights) == 0
-
-    def test_multiplicities(self):
-        assert IntegerPartition.of(3, 2, 2, 1, 1, 1).multiplicities == \
-            ((3, 1), (2, 2), (1, 3))
-        assert EMPTY.multiplicities == ()
 
 
 class TestMultinomialConstant:

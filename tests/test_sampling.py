@@ -147,9 +147,23 @@ class TestExpansion:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_equals_bell_sum(self, n):
         for eta in enumerate_partitions(n):
-            got = dict(expansion_of_monomial_sampler(eta))
+            # Each xi is a partition of n, so dropping its parts 1
+            # (phi_1 == 1) merges no two terms.
+            pairs = expansion_of_monomial_sampler(eta)
+            assert all(sum(xi) == n for xi, _ in pairs), eta
+            got = {IntegerPartition.of(*(p for p in xi if p > 1)): c for xi, c in pairs}
+            assert len(got) == len(pairs), eta
             assert got == bell_expansion(eta), eta
-            assert all(type(v) is int for v in got.values())
+            assert all(type(c) is int for c in got.values())
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_point_mass_keeps_only_one_part(self, n):
+        # On one atom of mass 1 every phi_k is 1, so p^o_eta is the sum of
+        # the coefficients, the Moebius sum over the partition lattice: two
+        # parts cannot take distinct atoms, and one part takes the atom.
+        x = FrequencyVector.of(1)
+        for eta in enumerate_partitions(n):
+            assert monomial_sampler_expansion(eta, x) == (1 if eta.l == 1 else 0), eta
 
 
 @st.composite

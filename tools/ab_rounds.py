@@ -7,11 +7,14 @@ S, i)`.  Each checkout runs them in a fresh interpreter on its own `src` and
 `bench/worker.prepare`, timed as `bench/worker.py` times them (the prepare
 step, which parses the inputs, timed apart); the two run back to back, BASE
 first in even rounds, so host drift between rounds cancels in the per-round
-ratio.  Each cli_mix command runs through `cli.main` in an interpreter of its
-own, timed from before `import neutral_sampler.cli` (nothing imports `mpmath`
-earlier): the launch both sides share is untimed.  A round's peak RSS is the
-VmHWM of its interpreter, for cli_mix of the largest command's.  After its
-requests, each side takes its set-up time with its own
+ratio.  Each side's interpreters write and read bytecode under a directory of
+that side's own, empty at the start (PYTHONPYCACHEPREFIX, with
+PYTHONDONTWRITEBYTECODE dropped), so .pyc files left in either checkout count
+for neither.  Each cli_mix command runs through `cli.main` in an interpreter
+of its own, timed from before `import neutral_sampler.cli` (nothing imports
+`mpmath` earlier): the launch both sides share is untimed.  A round's peak
+RSS is the VmHWM of its interpreter, for cli_mix of the largest command's.
+After its requests, each side takes its set-up time with its own
 `bench/run.measure_setup()`, and before the first round its max_n_in_budget
 with its own `bench/run.probe_max_n(NAME, S)`, both from inside its checkout.
 BASE's `bench/run.end_to_end` turns each side's rounds into the benchmark's
@@ -56,6 +59,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 CHILD = "--child"
@@ -177,6 +181,16 @@ def run_round(requests: list, setup: bool) -> dict:
     return report
 
 
+def child_env(pycache: str) -> dict:
+    """The environment of one side's children: bytecode is written, under
+    `pycache`, a directory of that side's own that starts empty, so that both
+    sides compile what they import in their first round and read it back
+    after, whatever .pyc files either checkout or the caller's settings hold."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
 def child(checkout: str) -> int:
     """Run the job on stdin in this interpreter, started inside `checkout`,
     and print its report as JSON.  A round and a probe import the checkout's
@@ -201,10 +215,10 @@ def child(checkout: str) -> int:
     return 0
 
 
-def run_child(checkout: str, job: dict) -> dict:
+def run_child(checkout: str, env: dict, job: dict) -> dict:
     done = subprocess.run(
         [sys.executable, os.path.abspath(__file__), CHILD, checkout],
-        input=json.dumps(job), cwd=checkout, capture_output=True, text=True)
+        input=json.dumps(job), cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit("error: %s exited %d: %s" % (
             checkout, done.returncode, done.stderr[-2000:]))
@@ -217,7 +231,7 @@ def add_counts(totals: dict, counts: dict):
         totals[name] = [a + b for a, b in zip(totals.get(name, (0, 0)), pair)]
 
 
-def run_side(checkout: str, requests: list) -> dict:
+def run_side(checkout: str, env: dict, requests: list) -> dict:
     """One round of `checkout` in a fresh interpreter (one per cli_mix
     command, the last of which also takes the set-up time)."""
     parts = [[req] for req in requests] if requests[0]["op"] == "cli" else [requests]
@@ -225,7 +239,7 @@ def run_side(checkout: str, requests: list) -> dict:
     prepare, rss = [], []
     for i, part in enumerate(parts):
         setup = i == len(parts) - 1
-        got = run_child(checkout, {"kind": "round", "requests": part, "setup": setup})
+        got = run_child(checkout, env, {"kind": "round", "requests": part, "setup": setup})
         add_counts(report["caches"], got.pop("caches"))
         prepare.append(got.pop("prepare_s"))
         rss.append(got.pop("maxrss_kb"))
@@ -272,14 +286,14 @@ def grid_note(requests: list) -> str:
     return "; t grid distinct" if seen else ""
 
 
-def check_side(checkout: str, bench: str, workload: str, seed: int, records: list,
-               rounds: list) -> dict:
+def check_side(checkout: str, env: dict, bench: str, workload: str, seed: int,
+               records: list, rounds: list) -> dict:
     """{record index: why} of each request of `rounds` [(requests, report)]
     of `checkout` that raised, or that BASE's checks in `bench` fail on the
     checkout's `src`; `records` holds (round, request index, request)."""
     outputs = [out for _, rep in rounds for out in rep["outputs"]]
     errors = [err for _, rep in rounds for err in rep["errors"]]
-    checked = run_child(checkout, {
+    checked = run_child(checkout, env, {
         "kind": "check", "bench": bench, "workload": workload, "seed": seed,
         "records": [[i, req, out] for (i, _, req), out in zip(records, outputs)]})
     failed = {k: "output check" for k in checked["failed"]}
@@ -345,15 +359,24 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 1")
     bench = os.path.join(args.base, "bench")
     sys.path.insert(0, bench)
-    import checks
-    import run
     import workloads
     if args.workload not in workloads.WORKLOADS:
         parser.error("unknown workload %r" % args.workload)
+    with tempfile.TemporaryDirectory(prefix="ab_rounds-") as pycache:
+        return run_ab(args, bench, {side: child_env(os.path.join(pycache, side))
+                                    for side in SIDES})
+
+
+def run_ab(args, bench: str, envs: dict) -> int:
+    """Run the rounds of `args` with each side's children in its environment
+    of `envs`, print the report and return the exit code."""
+    import checks
+    import run
+    import workloads
     with open(os.path.join(args.base, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"] + [PREPARE]
 
-    max_n = {side: run_child(getattr(args, side), {
+    max_n = {side: run_child(getattr(args, side), envs[side], {
         "kind": "probe", "workload": args.workload, "seed": args.seed})["max_n"]
         for side in SIDES}
     rounds, per_round, records = {side: [] for side in SIDES}, [], []
@@ -361,7 +384,8 @@ def main(argv=None) -> int:
     for i in range(args.rounds):
         requests = workloads.round_requests(args.workload, args.seed, i)
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        reports = {side: run_side(getattr(args, side), requests) for side in order}
+        reports = {side: run_side(getattr(args, side), envs[side], requests)
+                   for side in order}
         per_round.append(tuple(side_values(run, args.workload, [(requests, reports[side])],
                                            max_n[side]) for side in SIDES))
         for side in SIDES:
@@ -392,8 +416,8 @@ def main(argv=None) -> int:
             row["ties"], "; WORSE THAN BOUND" if row["worse"] else ""))
     print(DIFFER % (*bits["float"], *bits["exact"]))
 
-    failed = {side: check_side(getattr(args, side), bench, args.workload, args.seed,
-                               records, rounds[side]) for side in SIDES}
+    failed = {side: check_side(getattr(args, side), envs[side], bench, args.workload,
+                               args.seed, records, rounds[side]) for side in SIDES}
     shared = collections.Counter(records[k][0] for k in failed["base"].keys() & failed["change"])
     print("failures: base %d, change %d, shared %d" % (
         len(failed["base"]), len(failed["change"]), sum(shared.values())))
