@@ -7,7 +7,8 @@ in the number of atoms, capped), and the expansion in power sums (the
 continuous extension, with the phi_1 == 1 convention), built by the augmented
 monomials' recursion on the largest part and evaluated as one integer sum
 over the same common denominator.  The walk shares no code with the
-expansion.
+expansion.  The identity read the other way round expands a power sum over
+monomial samplers.
 Singleton sample slots may draw from the dust mass 1 - sum(atoms); each
 dust draw is automatically a fresh type.
 """
@@ -241,14 +242,29 @@ def expansion_of_monomial_sampler(eta: IntegerPartition) -> tuple[tuple[tuple[in
     return tuple((xi, c) for xi, c in coeffs.items() if c)
 
 
-def sampler_expansion(eta: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
-    """p_eta = multinomial_constant(eta) p^o_eta over power-sum monomials
-    with parts >= 2: the pairs of expansion_of_monomial_sampler, each scaled
-    by the constant, with their parts 1 dropped (phi_1 == 1).  Each xi sums
-    to |eta|, so dropping its parts 1 merges no two of them."""
-    const = multinomial_constant(eta)
-    return tuple((IntegerPartition._trusted(xi[:len(xi) - xi.count(1)]), const * c)
-                 for xi, c in expansion_of_monomial_sampler(eta))
+# One entry per label, its prefixes included: room for every label with
+# parts >= 2 up to size 22 (1002 with the empty one).
+@lru_cache(maxsize=1024)
+def expansion_of_power_sum(omega: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """phi_omega over monomial samplers, for omega's nonincreasing parts:
+    (parts of rho, c_rho) pairs over the coarsenings rho of omega (block
+    sums of a set partition of its parts), c_rho > 0 the set partitions
+    giving rho.  With a the last part, the augmented monomials' identity read
+    the other way round, phi_a p^o_rho = p^o_(rho, a) +
+    sum_j c_j p^o_(rho: rho_j -> rho_j + a) over the distinct parts rho_j
+    (c_j copies each); a merged part may pass the parts before it."""
+    if not omega:
+        return (((), 1),)
+    a = omega[-1]
+    coeffs: dict[tuple[int, ...], int] = {}
+    for rho, c in expansion_of_power_sum(omega[:-1]):
+        coeffs[rho + (a,)] = coeffs.get(rho + (a,), 0) + c
+        for i, r in enumerate(rho):
+            if i and rho[i - 1] == r:
+                continue
+            merged = tuple(sorted(rho[:i] + (r + a,) + rho[i + 1:], reverse=True))
+            coeffs[merged] = coeffs.get(merged, 0) + rho.count(r) * c
+    return tuple(coeffs.items())
 
 
 def monomial_sampler_expansion(eta: IntegerPartition, x: FrequencyVector) -> Fraction:

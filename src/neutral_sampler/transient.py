@@ -40,7 +40,7 @@ from .moments import (
     power_sum_moment,
 )
 from .records import FrozenRecord
-from .sampling import FrequencyVector, sampler_expansion
+from .sampling import FrequencyVector, expansion_of_power_sum
 
 #: Entries in total in the cache of mpf sampler eigen-coefficients, one per
 #: (evaluator, eta, x): room for every eta of n <= 9 (96 of them) on two vectors.
@@ -108,19 +108,20 @@ class SpectralEvaluator:
     # -- exact layer ---------------------------------------------------
 
     def eigen_coefficients(
-        self, f: tuple[tuple[IntegerPartition, int], ...], x: FrequencyVector
+        self, f: tuple[tuple[tuple[int, ...], int], ...], x: FrequencyVector
     ) -> dict[int, Fraction]:
         """{m: C_m} with E_x f(X_t) = C_0 + sum_m C_m e^{-lambda_m t} for
-        f = sum c_xi phi_xi at the evaluator's theta, zeros dropped."""
+        f = sum c_rho p^o_rho, monomial samplers of one size, at the
+        evaluator's theta, zeros dropped."""
         return eigen_coefficients(self.theta, f, x)
 
     def _moment_eigencoeffs(self, omega: IntegerPartition, x: FrequencyVector):
         if omega != EMPTY:
             check_min_part(omega, "moment")
-        return self.eigen_coefficients(((omega, 1),), x)
+        return self.eigen_coefficients(expansion_of_power_sum(omega.parts), x)
 
     def _sampler_eigencoeffs(self, eta: IntegerPartition, x: FrequencyVector):
-        return self.eigen_coefficients(sampler_expansion(eta), x)
+        return self.eigen_coefficients(((eta.parts, multinomial_constant(eta)),), x)
 
     # -- float layer, on raw mpf values at precision_bits ---------------
 

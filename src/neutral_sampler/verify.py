@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .basis import build_basis, inner_product
-from .combinatorics import enumerate_partitions
+from .combinatorics import enumerate_partitions, multinomial_constant
 from .moments import eigen_coefficients
 from .rates import rate_function
 from .sampling import (
@@ -20,7 +20,6 @@ from .sampling import (
     monomial_sampler_expansion,
     random_frequency_vector,
     removal_children,
-    sampler_expansion,
     sampling_probability,
 )
 
@@ -124,8 +123,9 @@ def transient_suite(max_size: int = 6):
             where = "theta=%s x=(%s)" % (theta, x)
             prev: dict = {}
             for n in range(1, max_size + 1):
-                coeffs = {eta: eigen_coefficients(theta, sampler_expansion(eta), x)
-                          for eta in enumerate_partitions(n)}
+                coeffs = {eta: eigen_coefficients(
+                    theta, ((eta.parts, multinomial_constant(eta)),), x)
+                    for eta in enumerate_partitions(n)}
                 total: dict = {}
                 children: dict = {xi: {} for xi in prev}
                 for eta, c in coeffs.items():

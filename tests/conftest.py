@@ -8,9 +8,11 @@ summing integers over a common denominator, the brute-force sampler visits
 every tuple of distinct atoms in Fractions instead of summing each (slot, used
 atoms) state once in integers, eigen-coefficients come from the Gram-Schmidt
 basis (by projection with inner products, or from the rows of the Gram
-factorization) instead of the generator recursion, the generator recursion
-itself also runs in Fractions, dividing at every level, instead of in integers
-over one common denominator, the float combine converts every coefficient,
+factorization) or from the generator's action on power-sum monomials, solved
+label by label over the sampler's power-sum expansion, instead of the
+recursion on sampling functions, that power-sum recursion also runs in
+Fractions, dividing at every level, instead of in integers over one common
+denominator, the float combine converts every coefficient,
 eigenvalue and time afresh on each call instead of once per evaluator and sums
 by mpmath.fdot instead of on raw mpf tuples, the scan times, weak limits,
 slopes and errors run on mpf objects inside mpmath.workprec instead of on raw
@@ -35,10 +37,20 @@ from hypothesis import strategies as st
 
 from neutral_sampler.asymptotics import RegimeKind, RegimeSpec
 from neutral_sampler.basis import build_basis, inner_product
-from neutral_sampler.combinatorics import IntegerPartition, enumerate_set_partitions
-from neutral_sampler.moments import generator_children, label_numerators, level
+from neutral_sampler.combinatorics import (
+    IntegerPartition,
+    enumerate_set_partitions,
+    multinomial_constant,
+)
+from neutral_sampler.moments import eigen_coefficients
 from neutral_sampler.rates import K_SUBLOG, rate_function
-from neutral_sampler.sampling import FrequencyVector, _power_sum_table, power_sum_product
+from neutral_sampler.sampling import (
+    FrequencyVector,
+    _power_sum_table,
+    expansion_of_monomial_sampler,
+    expansion_of_power_sum,
+    power_sum_product,
+)
 from neutral_sampler.transient import get_evaluator
 
 
@@ -226,12 +238,98 @@ def label_coefficients(label: IntegerPartition, x: FrequencyVector,
                        theta) -> tuple[Fraction, ...]:
     """(A[0], ..., A[n]) with E_x phi_label(X_t) = sum_m A[m] e^{-lambda_m t}
     and lambda_0 = 0; A[1] = 0, since no label has size 1.  Not an oracle:
-    the library's own integer numerators N[m] at theta, each divided by
-    D^n H_n, for comparison with the oracles."""
-    theta, table = Fraction(theta), x.integer_form
-    p, q = theta.numerator, theta.denominator
-    den = table[0] ** label.n * level(p, q, label.n)[1]
-    return tuple(Fraction(a, den) for a in label_numerators(p, q, label, table))
+    the library's own coefficients, from the sampler recursion over the
+    label's coarsenings, zeros kept, for comparison with the oracles."""
+    coeffs = eigen_coefficients(Fraction(theta), expansion_of_power_sum(label.parts), x)
+    return tuple(coeffs.get(m, Fraction(0)) for m in range(label.n + 1))
+
+
+# The power-sum route: the sampler expanded over power sums, and the
+# generator's action on power-sum monomials solved label by label.
+
+def sampler_expansion(eta: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
+    """p_eta = multinomial_constant(eta) p^o_eta over power-sum monomials
+    with parts >= 2: the pairs of expansion_of_monomial_sampler, each scaled
+    by the constant, with their parts 1 dropped (phi_1 == 1)."""
+    const = multinomial_constant(eta)
+    return tuple((IntegerPartition(tuple(p for p in xi if p > 1)), const * c)
+                 for xi, c in expansion_of_monomial_sampler(eta))
+
+
+@lru_cache(maxsize=None)
+def generator_children(label: IntegerPartition) -> tuple[tuple[IntegerPartition, int], ...]:
+    """(zeta, c) pairs with L phi_label = sum c phi_zeta - lambda_n phi_label.
+
+    A part p coalesces within itself with weight C(p, 2) (p -> p - 1), and
+    two parts p, q merge with weight p q (p, q -> p + q - 1); a part that
+    becomes 1 is dropped since phi_1 == 1.  The weights sum to C(n, 2).
+    """
+    parts = label.parts
+    weights: dict[tuple[int, ...], int] = {}
+
+    def add(rest: tuple[int, ...], new: int, weight: int):
+        key = tuple(sorted(rest + (new,) if new >= 2 else rest, reverse=True))
+        weights[key] = weights.get(key, 0) + weight
+
+    for i, p in enumerate(parts):
+        rest = parts[:i] + parts[i + 1:]
+        add(rest, p - 1, p * (p - 1) // 2)
+        for j in range(i, len(rest)):
+            add(rest[:j] + rest[j + 1:], p + rest[j] - 1, p * rest[j])
+    return tuple((IntegerPartition(k), w) for k, w in weights.items())
+
+
+@lru_cache(maxsize=None)
+def power_sum_level(p: int, q: int, n: int) -> tuple[int, int, tuple[int, ...]]:
+    """(L_n, H_n, (2q L_n / d(n, m))_{m < n}) at theta = p/q, with
+    d(n, m) = (n - m)(q(n + m - 1) + p) and the factor 0 at m = 1."""
+    if n < 2:
+        return 1, 1, (0,) * n
+    gaps = [(n - m) * (q * (n + m - 1) + p) if m != 1 else 0 for m in range(n)]
+    l_n = prod(g for g in gaps if g)
+    factors = tuple(2 * q * l_n // g if g else 0 for g in gaps)
+    return l_n, power_sum_level(p, q, n - 1)[1] * l_n, factors
+
+
+@lru_cache(maxsize=None)
+def label_numerators(p: int, q: int, label: IntegerPartition,
+                     table: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """(N[0], ..., N[n]) with E_x phi_label(X_t) = N[m] / (D^n H_n) at
+    theta = p/q on the vector whose integer form is (D, weights), by the
+    generator's action on power-sum monomials: a child of size s adds
+    c D^{n-s} (H_{n-1} / H_s) N_child[m], which 2q L_n / d(n, m) turns into
+    N[m] for m < n, and N[n] makes the terms sum to phi_label(x) at t = 0."""
+    n = label.n
+    if n == 0:
+        return (1,)
+    d, weights = table
+    near, far = [0] * n, [0] * n  # children of size n - 1 and n - 2
+    for child, c in generator_children(label):
+        acc = near if child.n == n - 1 else far
+        for m, a in enumerate(label_numerators(p, q, child, table)):
+            acc[m] += c * a
+    _, h_n, factors = power_sum_level(p, q, n)
+    far_scale = d * power_sum_level(p, q, n - 1)[0]
+    out = [f * d * (a + far_scale * b) for f, a, b in zip(factors, near, far)]
+    top = h_n
+    for part in label.parts:
+        top *= sum(w**part for w in weights)
+    out.append(top - sum(out))
+    return tuple(out)
+
+
+def power_sum_eigen_coefficients(theta, f, x: FrequencyVector) -> dict[int, Fraction]:
+    """{m: C_m} of E_x f(X_t) for f = sum c_xi phi_xi, power-sum labels of
+    any sizes with integer c_xi, each label's numerators over its own
+    D^|xi| H_|xi|, summed in Fractions."""
+    theta = Fraction(theta)
+    p, q, table = theta.numerator, theta.denominator, x.integer_form
+    out: dict[int, Fraction] = {}
+    for xi, c in f:
+        den = table[0] ** xi.n * power_sum_level(p, q, xi.n)[1]
+        for m, a in enumerate(label_numerators(p, q, xi, table)):
+            out[m] = out.get(m, Fraction(0)) + Fraction(c * a, den)
+    return {m: v for m, v in out.items() if v}
 
 
 @lru_cache(maxsize=4096)

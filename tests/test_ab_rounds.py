@@ -188,3 +188,17 @@ def test_a_side_compiles_its_bytecode_under_its_own_prefix(tmp_path, monkeypatch
     assert proc.stdout.split() == ["fresh", "0", str(prefix)]
     assert len(list(prefix.rglob("probe_module.*.pyc"))) == 1
     assert os.listdir(tree / "__pycache__") == [os.path.basename(stale)]
+
+
+def test_a_rung_reports_its_seconds_and_peak_memory():
+    # tools/rung.py runs one probe rung of a checkout in its own interpreter,
+    # on that checkout's src, and prints its seconds and VmHWM.
+    proc = subprocess.run(
+        [sys.executable, os.path.join(_ROOT, "tools", "rung.py"), _ROOT, "transient",
+         "6", "1"], capture_output=True, text=True, timeout=120,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
+    assert proc.returncode == 0, proc.stderr
+    words = proc.stdout.split()
+    assert words[:4] == ["transient", "rung", "n", "="] and words[4] == "6:"
+    assert float(words[5]) >= 0 and words[6:8] == ["s,", "VmHWM"]
+    assert float(words[8]) > 0 and words[9] == "MB"

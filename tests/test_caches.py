@@ -9,17 +9,12 @@ import weakref
 from fractions import Fraction
 
 import neutral_sampler
-from neutral_sampler.combinatorics import (
-    EMPTY,
-    IntegerPartition,
-    enumerate_partitions,
-    enumerate_partitions_min2,
-)
+from neutral_sampler.combinatorics import IntegerPartition, enumerate_partitions
 from neutral_sampler.moments import (
     STORE_CACHE_SIZE,
     _store,
-    generator_children,
-    label_numerators,
+    _top,
+    sampler_numerators,
 )
 from neutral_sampler.sampling import (
     FrequencyVector,
@@ -50,11 +45,12 @@ CACHES = {
     "combinatorics.enumerate_partitions",
     "combinatorics.enumerate_set_partitions",
     "moments._store",
-    "moments.generator_children",
+    "moments._top",
     "moments.power_sum_moment",
     "moments.level",
     "sampling._power_sum_table",
     "sampling.expansion_of_monomial_sampler",
+    "sampling.expansion_of_power_sum",
     "transient.get_evaluator",
     "transient.SpectralEvaluator._decay_row",
     "transient.SpectralEvaluator._sampler_terms",
@@ -133,37 +129,54 @@ def test_an_evaluator_is_freed_without_the_cyclic_collector():
 
 
 def _computed_labels() -> int:
-    """Labels the recursion has computed so far: each asks for its children
-    once, and nothing else asks."""
-    return sum(generator_children.cache_info()[:2])
+    """Sample partitions the recursion has computed so far: each asks for
+    its t = 0 value once, and nothing else asks."""
+    return sum(_top.cache_info()[:2])
+
+
+def _down_set(eta: IntegerPartition) -> set:
+    """The parts of every partition whose diagram lies in eta's."""
+    return {zeta.parts for k in range(1, eta.n + 1) for zeta in enumerate_partitions(k)
+            if zeta.l <= eta.l and all(a <= b for a, b in zip(zeta.parts, eta.parts))
+            } | {()}
+
+
+def test_one_request_stores_exactly_the_down_set():
+    # A child loses one box of its parent's diagram, so the recursion from
+    # eta reaches the partitions contained in eta and no other; the two
+    # seeds, () and (1,), lie in every nonempty down-set.
+    x = FrequencyVector.parse("1/2,1/3,1/6")
+    for eta in [eta for n in range(1, 9) for eta in enumerate_partitions(n)]:
+        _store.cache_clear()
+        sampler_numerators(3, 2, eta.parts, x)
+        assert set(_store(3, 2, x.integer_form)) == _down_set(eta), eta
 
 
 def test_label_cache_holds_every_label_up_to_size_17_on_one_vector():
-    # The recursion from the 66 labels of size 17 visits all 297 labels with
-    # parts >= 2 up to size 17, the empty one included; its one store holds
-    # them, and the 296 others are computed once each.
+    # The recursion from the 297 partitions of 17 visits every partition up
+    # to size 17, 1212 with the empty one; its one store holds them, and the
+    # 1210 that are not seeded are computed once each.
     _store.cache_clear()
-    table = FrequencyVector.of(Fraction(1, 2), Fraction(1, 3),
-                               Fraction(1, 6)).integer_form
+    x = FrequencyVector.of(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
     before = _computed_labels()
-    for label in enumerate_partitions_min2(17):
-        label_numerators(1, 1, label, table)
-    assert _computed_labels() - before == 296
-    store = _store(1, 1, table)
-    assert len(store) == 297 and EMPTY in store
+    for eta in enumerate_partitions(17):
+        sampler_numerators(1, 1, eta.parts, x)
+    assert _computed_labels() - before == 1210
+    store = _store(1, 1, x.integer_form)
+    assert len(store) == 1212 and () in store
     assert _store.cache_info().misses == 1
 
 
 def test_a_second_pass_over_size_23_computes_no_label():
-    # The 1254 labels with parts >= 2 up to size 23 (1255 with the empty
-    # one) stay in their store, so asking again for every label of size 23
-    # reads them all; a cache bounded by a count of labels below 1255 would
-    # evict children and compute them again.
-    table = FrequencyVector.parse("1/2,1/3,1/6").integer_form
-    labels = enumerate_partitions_min2(23)
-    first = [label_numerators(1, 1, label, table) for label in labels]
+    # The 5763 partitions up to size 23 (with the empty one) stay in their
+    # store, so asking again for every partition of 23 reads them all; a
+    # cache bounded by a count of labels below 5763 would evict children
+    # and compute them again.
+    x = FrequencyVector.parse("1/2,1/3,1/6")
+    etas = [eta.parts for eta in enumerate_partitions(23)]
+    first = [sampler_numerators(1, 1, eta, x) for eta in etas]
     before = _computed_labels()
-    assert [label_numerators(1, 1, label, table) for label in labels] == first
+    assert [sampler_numerators(1, 1, eta, x) for eta in etas] == first
     assert _computed_labels() == before
 
 

@@ -13,8 +13,7 @@ from neutral_sampler.combinatorics import (
     enumerate_set_partitions,
     multinomial_constant,
 )
-from neutral_sampler.moments import generator_children
-from neutral_sampler.sampling import sampler_expansion
+from neutral_sampler.sampling import removal_children
 from conftest import alpha_multinomial_constant, bell, partition_count, stirling2
 
 
@@ -60,8 +59,8 @@ class TestIntegerPartition:
         labels = [IntegerPartition(tuple(sorted(a, reverse=True))),
                   IntegerPartition.of(*a), IntegerPartition.parse(text),
                   IntegerPartition.of(*a).concat(IntegerPartition.of(*b))]
-        labels += [child for child, _ in generator_children(IntegerPartition.of(*b))]
-        labels += [xi for xi, _ in sampler_expansion(IntegerPartition.of(*a))]
+        labels += [xi for xi, _ in removal_children(IntegerPartition.of(*a))]
+        labels += [xi for xi, _ in removal_children(IntegerPartition.of(*b))]
         for label in labels:
             assert label.n == sum(label.parts), label
         with pytest.raises(AttributeError):

@@ -16,6 +16,7 @@ from neutral_sampler.combinatorics import (
     enumerate_partitions,
 )
 from neutral_sampler.moments import (
+    eigen_coefficients,
     esf_monomial_moment,
     mixed_power_sum_moment,
     power_sum_moment,
@@ -156,15 +157,22 @@ class TestMixedPowerSumMoment:
                     mixed_power_sum_moment(b, a, theta)
 
 
+def test_eigen_coefficients_refuse_samplers_of_two_sizes():
+    # One common denominator D^n H_n serves samplers of one size n only.
+    x = FrequencyVector.parse("1/2,1/3,1/6")
+    with pytest.raises(ValueError, match="sizes 3 and 2"):
+        eigen_coefficients(Fraction(1), (((2, 1), 1), ((2,), 1)), x)
+
+
 #: Prefix of the programs below: a fresh interpreter in which `import mpmath`
 #: fails, so that they reach the exact layer through `moments` alone.
 _WITHOUT_MPMATH = """
 import json, sys
 sys.modules["mpmath"] = None
 from fractions import Fraction
-from neutral_sampler.combinatorics import enumerate_partitions
+from neutral_sampler.combinatorics import enumerate_partitions, multinomial_constant
 from neutral_sampler.moments import eigen_coefficients
-from neutral_sampler.sampling import FrequencyVector, sampler_expansion
+from neutral_sampler.sampling import FrequencyVector, expansion_of_power_sum
 """
 
 _VECTORS = ("1/2,1/3,1/6", "2/7,1/5", "")
@@ -189,9 +197,11 @@ for text in sys.argv[1:]:
     for n in range(1, 7):
         for eta in enumerate_partitions(n):
             key = "%s|%s" % (eta, text)
-            out["sampler " + key] = eigen_coefficients(theta, sampler_expansion(eta), x)
+            out["sampler " + key] = eigen_coefficients(
+                theta, ((eta.parts, multinomial_constant(eta)),), x)
             if eta.min_part >= 2:
-                out["moment " + key] = eigen_coefficients(theta, ((eta, Fraction(1)),), x)
+                out["moment " + key] = eigen_coefficients(
+                    theta, expansion_of_power_sum(eta.parts), x)
 print(json.dumps({k: {m: str(c) for m, c in v.items()} for k, v in out.items()}))
 """)
     ev = get_evaluator(Fraction(29, 3))

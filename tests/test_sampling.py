@@ -16,6 +16,7 @@ from neutral_sampler.sampling import (
     FrequencyVector,
     consistency_check,
     expansion_of_monomial_sampler,
+    expansion_of_power_sum,
     monomial_sampler_bruteforce,
     monomial_sampler_expansion,
     power_sum_product,
@@ -164,6 +165,23 @@ class TestExpansion:
         x = FrequencyVector.of(1)
         for eta in enumerate_partitions(n):
             assert monomial_sampler_expansion(eta, x) == (1 if eta.l == 1 else 0), eta
+
+
+@pytest.mark.parametrize("x", ["1/2,1/3,1/6", "1/2,1/4", "1", "", "2/7,1/5,1/9,1/11"],
+                         ids=repr)
+def test_power_sum_is_its_coarsenings_monomial_samplers(x):
+    # phi_omega = sum_rho c_rho p^o_rho over the coarsenings of omega, each
+    # p^o_rho summed atom by atom by the brute-force walk, for every omega
+    # with parts >= 2 up to size 8 (and the empty one).
+    x = FrequencyVector.parse(x)
+    labels = [EMPTY] + [omega for n in range(2, 9) for omega in enumerate_partitions(n)
+                        if omega.min_part >= 2]
+    for omega in labels:
+        pairs = expansion_of_power_sum(omega.parts)
+        assert all(sum(rho) == omega.n and c > 0 for rho, c in pairs), omega
+        total = sum((c * monomial_sampler_bruteforce(IntegerPartition(rho), x)
+                     for rho, c in pairs), Fraction(0))
+        assert total == power_sum_product(omega, x), omega
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 from math import comb
@@ -20,15 +21,14 @@ from neutral_sampler.combinatorics import (
 )
 from neutral_sampler.moments import (
     _store,
-    eigen_coefficients,
+    _top,
     esf_monomial_moment,
-    generator_children,
     power_sum_moment,
 )
 from neutral_sampler.sampling import (
     FrequencyVector,
     power_sum_product,
-    sampler_expansion,
+    random_frequency_vector,
     sampling_probability,
 )
 from neutral_sampler.transient import (
@@ -39,14 +39,18 @@ from neutral_sampler.transient import (
     get_evaluator,
     transient_sampling_probability,
 )
+from neutral_sampler.verify import ORACLE_VECTORS, SEED
 from conftest import (
     coprime_vectors,
     direct_combine,
     eigenvalue,
     fraction_label_coefficients,
+    generator_children,
     label_coefficients,
+    power_sum_eigen_coefficients,
     projection_eigen_coefficients,
     row_eigen_coefficients,
+    sampler_expansion,
     thetas,
 )
 
@@ -245,9 +249,24 @@ def test_eigen_coefficients_equal_row_oracle(theta, x):
     ev = SpectralEvaluator(theta)
     for eta in ETAS_UP_TO_7:
         f = sampler_expansion(eta)
-        got = ev.eigen_coefficients(f, x)
+        got = ev.eigen_coefficients(((eta.parts, multinomial_constant(eta)),), x)
         assert got == row_eigen_coefficients(f, x, theta), eta
         assert got == projection_eigen_coefficients(f, x, theta), eta
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(29, 3),
+                                   Fraction(10**6)], ids=str)
+def test_sampler_recursion_equals_the_power_sum_route(theta):
+    # Every eta of n <= 9: the recursion on sampling functions against the
+    # sampler's power-sum expansion, each label solved by the generator's
+    # action on power-sum monomials.
+    rng = random.Random(SEED)
+    xs = [random_frequency_vector(rng, max_atoms=8) for _ in range(ORACLE_VECTORS)]
+    ev = SpectralEvaluator(theta)
+    for x in xs + [FrequencyVector(())]:
+        for eta in (eta for n in range(1, 10) for eta in enumerate_partitions(n)):
+            assert ev._sampler_eigencoeffs(eta, x) == \
+                power_sum_eigen_coefficients(theta, sampler_expansion(eta), x), (eta, x)
 
 
 @st.composite
@@ -332,12 +351,13 @@ class TestGeneratorIdentities:
     @pytest.mark.parametrize("x", ["1/2,1/3,1/6", "1/2,1/4", "", "2/7,1/5"], ids=repr)
     def test_stationary_part_and_t0_sum(self, theta, x):
         # A[0] is the PD(theta) mean whatever x is, which power_sum_moment
-        # reads on pure dust; the coefficients sum to phi_label(x).
+        # sums from Ewens moments; the coefficients sum to phi_label(x).
         x = FrequencyVector.parse(x)
         for label in LABELS_UP_TO_10:
             coeffs = label_coefficients(label, x, theta)
             assert coeffs[0] == power_sum_moment(label, theta), label
-            assert eigen_coefficients(theta, ((label, 1),), x)[0] == coeffs[0], label
+            assert power_sum_eigen_coefficients(theta, ((label, 1),), x)[0] == coeffs[0], \
+                label
             assert sum(coeffs) == power_sum_product(label, x), label
 
 
@@ -365,20 +385,22 @@ def test_integer_engine_equals_fraction_recursion_up_to_twelve(theta):
 
 def test_every_precision_shares_one_exact_recursion():
     # The exact numerators live in one store per (theta, x), so evaluators at
-    # three precisions of one theta fill one store and compute each label
-    # once in total; each equals the direct combine of the shared Fractions
-    # at its own precision.
+    # three precisions of one theta fill one store and compute each sample
+    # partition once in total, each asking once for its t = 0 value (the
+    # empty one and (1,) are seeded); each equals the direct combine of the
+    # shared Fractions at its own precision.
     theta, x, t = Fraction(1013, 29), FrequencyVector.parse("2/7,1/5,1/9,1/11"), 0.5
     _store.cache_clear()
-    computed = sum(generator_children.cache_info()[:2])
+    _top.cache_clear()
     evs = [SpectralEvaluator(theta, bits) for bits in (64, 256, 512)]
     for ev in evs:
         for eta in ETAS_UP_TO_7:
             ev.sampling_probability(eta, x, t)
     assert _store.cache_info().misses == _store.cache_info().currsize == 1
     store = _store(theta.numerator, theta.denominator, x.integer_form)
-    assert len(store) == len(MOMENT_LABELS_UP_TO_7)  # the empty label included
-    assert sum(generator_children.cache_info()[:2]) - computed == len(store) - 1
+    assert len(store) == len(ETAS_UP_TO_7) + 1  # the empty one included
+    assert _top.cache_info().hits == 0
+    assert _top.cache_info().misses == len(store) - 2
     for eta in ETAS_UP_TO_7:
         coeffs = evs[0]._sampler_eigencoeffs(eta, x)
         for ev in evs:

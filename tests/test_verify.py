@@ -2,12 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from neutral_sampler.combinatorics import IntegerPartition
-from neutral_sampler.sampling import (
-    BRUTEFORCE_MAX_N,
-    CapExceededError,
-    sampler_expansion,
-)
+from neutral_sampler.sampling import BRUTEFORCE_MAX_N, CapExceededError
 from neutral_sampler import verify
 from neutral_sampler.verify import SUITES, run_suite
 
@@ -70,7 +65,7 @@ def test_transient_suite_catches_one_wrong_eigen_coefficient(monkeypatch):
     # the consistency of its two children, (2) and (1,1), fail at each of the
     # 3 thetas on each of the 3 vectors.
     original = verify.eigen_coefficients
-    target = sampler_expansion(IntegerPartition.of(2, 1))
+    target = (((2, 1), 3),)  # P_3(2,1) = 3 p^o_(2,1)
 
     def perturbed(theta, f, x):
         coeffs = original(theta, f, x)
